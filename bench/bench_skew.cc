@@ -13,7 +13,7 @@
 // of the trades stream (max/avg instance load and their ratio) plus the
 // end-to-end p99 sink latency and delivered throughput. One JSON object on
 // stdout, committed as results/BENCH_skew.json and schema-checked by
-// tools/validate_skew.py.
+// tools/validate.py.
 //
 // Not a paper figure: Whale studies one-to-many (all-grouping) dispatch;
 // this characterises the one-to-one partitioning layer added in §11.

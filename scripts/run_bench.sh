@@ -4,7 +4,7 @@
 # over the thread counts and configs listed in bench/parallel_manifest.json
 # (the 480-instance fig-scale pair -> results/BENCH_parallel.json, the
 # 300-node cluster config -> results/BENCH_cluster.json), all validated
-# by tools/validate_parallel.py against the same manifest.
+# by tools/validate.py against the same manifest.
 #
 # The simkernel bench is run REPS times and the run with the fastest
 # "mixed" phase is kept (best-of-N: the minimum wall time is the
@@ -59,8 +59,8 @@ echo "wrote BENCH_simkernel.json (best mixed: ${best_rate} events/sec," \
 # meaningful when the host actually has cores for the partition threads.
 # The sweep loop lives in scripts/run_parallel_sweep.sh (shared with CI);
 # the (artifact, configs, threads) tuples come from
-# bench/parallel_manifest.json — the same file tools/validate_parallel.py
-# validates against — so a new config cannot silently drop out of the
+# bench/parallel_manifest.json — the same file tools/validate.py checks
+# the artifacts against — so a new config cannot silently drop out of the
 # sweep or the gate.
 cmake --build build --target bench_fig21_22_multicast_latency -j > /dev/null
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Runs every parallel-kernel sweep listed in bench/parallel_manifest.json
-# (the same file tools/validate_parallel.py validates against, so a config
-# cannot silently drop out of the sweep or the gate) and writes each
+# (the same file tools/validate.py checks each sweep artifact against, so a
+# config cannot silently drop out of the sweep or the gate) and writes each
 # sweep's artifact, then validates the lot. Assumes
 # build/bench/bench_fig21_22_multicast_latency is already built.
 #
@@ -39,4 +39,4 @@ for s in json.load(open("bench/parallel_manifest.json"))["sweeps"]:
   echo "wrote $artifact"
 done
 
-python3 tools/validate_parallel.py
+python3 tools/validate.py

@@ -79,7 +79,7 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
   // past the workers; it exists in the fabric only when the backend is on,
   // so backend-off runs build the exact same fabric as before.
   net::ClusterSpec cluster = cfg_.cluster;
-  const bool remote = state::kCompiled && cfg_.state.enabled && cfg_.state.remote;
+  const bool remote = cfg_.state.enabled && cfg_.state.remote;
   if (remote) cluster.num_nodes += 1;
   // Parallel kernel opt-in: decided before the fabric exists so the NICs
   // bind to their node's partition. Leaves psim_ null (exact serial path)
@@ -197,26 +197,13 @@ void Engine::setup_parallel() {
 }
 
 void Engine::obs_setup() {
-  if (!obs::kCompiled) return;
   metrics_.configure(cfg_.obs.metrics_enabled, cfg_.obs.snapshot_interval);
   tracer_.configure(cfg_.obs.tracing_enabled, cfg_.obs.trace_sample_stride,
                     cfg_.obs.max_trace_events);
   fabric_->set_tracer(&tracer_);
 
   if (trace_on()) {
-    // Structural tree changes land as instants on the source's control
-    // lane; the surrounding repair *episode* (pause -> reconfigure -> ACKs)
-    // is the complete span emitted by finish_repair.
-    for (auto& gp : groups_) {
-      McastGroup* g = gp.get();
-      gp->tree.set_repair_observer(
-          [this, g](const char* op, int node, size_t moves) {
-            tracer_.instant(op, "mcast", g->src_worker, obs::kLaneControl,
-                            cur_sim().now(), 0, "moves",
-                            static_cast<double>(moves));
-            (void)node;
-          });
-    }
+    for (auto& gp : groups_) observe_tree_repairs(*gp);
   }
 
   if (!metrics_.enabled()) return;
@@ -517,7 +504,7 @@ void Engine::build_runtime() {
       if (spec.is_spout) {
         t->spout = spec.spout_factory();
         t->spout->prepare(ctx);
-        if (state::kCompiled) t->spout->register_state(t->store);
+        t->spout->register_state(t->store);
         t->spout_rng.reseed(cfg_.seed +
                             0x9E3779B97F4A7C15ULL * (spout_index + 1));
         t->next_root = 1 + spout_index;
@@ -526,23 +513,21 @@ void Engine::build_runtime() {
       } else {
         t->bolt = spec.bolt_factory();
         t->bolt->prepare(ctx);
-        if (state::kCompiled) t->bolt->register_state(t->store);
+        t->bolt->register_state(t->store);
       }
       // Routing state joins the executor's checkpoint: a crash-rollback
       // must rewind shuffle cursors / PKG tallies along with operator
       // state, or replayed tuples take different routes than the
       // originals. Cells use the reserved "__route." prefix — recovery
       // restores them even for spouts (whose operator cells stay live).
-      if (state::kCompiled) {
-        for (size_t oi = 0; oi < spec.out_streams.size(); ++oi) {
-          dsps::PartitioningStrategy* strat = t->strategies[oi].get();
-          if (!strat->stateful()) continue;
-          t->store.register_cell(
-              std::string(dsps::kRoutingCellPrefix) + "s" +
-                  std::to_string(spec.out_streams[oi]),
-              [strat](ByteWriter& w) { strat->save(w); },
-              [strat](ByteReader& r) { strat->restore(r); });
-        }
+      for (size_t oi = 0; oi < spec.out_streams.size(); ++oi) {
+        dsps::PartitioningStrategy* strat = t->strategies[oi].get();
+        if (!strat->stateful()) continue;
+        t->store.register_cell(
+            std::string(dsps::kRoutingCellPrefix) + "s" +
+                std::to_string(spec.out_streams[oi]),
+            [strat](ByteWriter& w) { strat->save(w); },
+            [strat](ByteReader& r) { strat->restore(r); });
       }
       // Alignment channel count: one per (in-stream, upstream task) pair.
       // Spouts align trivially (the injected barrier is their only input).
@@ -649,34 +634,67 @@ void Engine::build_mcast_groups() {
       }
     }
 
-    const int n = static_cast<int>(g->endpoints.size()) - 1;
-    switch (cfg_.variant.mcast) {
-      case McastMode::kSequential:
-        g->tree = multicast::MulticastTree::build_sequential(n);
-        break;
-      case McastMode::kBinomial:
-        g->tree = multicast::MulticastTree::build_binomial(n);
-        break;
-      case McastMode::kNonblocking: {
-        const int cap = std::max(1, multicast::MD1::binomial_out_degree(n));
-        const int d0 = cfg_.initial_dstar > 0
-                           ? std::min(cfg_.initial_dstar, cap)
-                           : cap;
-        g->tree = multicast::MulticastTree::build_nonblocking(n, d0);
-        if (cfg_.self_adjust) {
-          g->controller =
-              std::make_unique<multicast::SelfAdjustingController>(
-                  cfg_.controller, cfg_.executor_queue_capacity, n, d0);
-          g->stream_monitor = std::make_unique<multicast::StreamMonitor>(
-              cfg_.monitor_unit, cfg_.lambda_alpha);
-        }
-        break;
-      }
-    }
+    build_group_tree(*g, /*dstar=*/0);
     if (primary_src_task_ < 0) primary_src_task_ = g->src_task;
     stream_to_group_[s.id] = g->id;
     groups_.push_back(std::move(g));
   }
+}
+
+void Engine::build_group_tree(McastGroup& g, int dstar) {
+  const int n = static_cast<int>(g.endpoints.size()) - 1;
+  switch (cfg_.variant.mcast) {
+    case McastMode::kSequential:
+      g.tree = multicast::MulticastTree::build_sequential(n);
+      break;
+    case McastMode::kBinomial:
+      g.tree = multicast::MulticastTree::build_binomial(n);
+      break;
+    case McastMode::kNonblocking: {
+      const int cap = std::max(1, multicast::MD1::binomial_out_degree(n));
+      const int d0 = dstar > 0 ? std::clamp(dstar, 1, cap)
+                     : cfg_.initial_dstar > 0
+                         ? std::min(cfg_.initial_dstar, cap)
+                         : cap;
+      g.tree = multicast::MulticastTree::build_nonblocking(n, d0);
+      if (cfg_.self_adjust) {
+        // d* decisions restart against the new destination count; the
+        // fingerprinted switch counters carry over via the group so
+        // finalize_report still reports whole-run totals.
+        if (g.controller) {
+          g.carry_scale_ups += g.controller->scale_ups();
+          g.carry_scale_downs += g.controller->scale_downs();
+        }
+        g.controller = std::make_unique<multicast::SelfAdjustingController>(
+            cfg_.controller, cfg_.executor_queue_capacity, n, d0);
+        if (!g.stream_monitor) {
+          g.stream_monitor = std::make_unique<multicast::StreamMonitor>(
+              cfg_.monitor_unit, cfg_.lambda_alpha);
+        }
+      }
+      break;
+    }
+  }
+  // A rebuilt tree is a new object: re-attach the repair observer.
+  if (trace_on()) observe_tree_repairs(g);
+}
+
+void Engine::observe_tree_repairs(McastGroup& g) {
+  // Structural tree changes land as instants on the source's control lane;
+  // the surrounding repair *episode* (pause -> reconfigure -> ACKs) is the
+  // complete span emitted by finish_repair.
+  const int src_worker = g.src_worker;
+  g.tree.set_repair_observer(
+      [this, src_worker](const char* op, int /*node*/, size_t moves) {
+        tracer_.instant(op, "mcast", src_worker, obs::kLaneControl,
+                        cur_sim().now(), 0, "moves",
+                        static_cast<double>(moves));
+      });
+}
+
+int Engine::endpoint_worker(const McastGroup& g, int node) const {
+  const int ep = g.endpoints[static_cast<size_t>(node)];
+  return g.worker_level ? ep : tasks_[static_cast<size_t>(ep)]->worker;
 }
 
 int Engine::group_dstar(size_t g) const {
@@ -689,32 +707,27 @@ uint64_t Engine::transfer_queue_len(int worker) const {
 }
 
 rdma::QueuePair& Engine::data_qp(int src_worker, int dst_worker) {
-  auto& w = *workers_[static_cast<size_t>(src_worker)];
-  auto& slot = w.data_qps[static_cast<size_t>(dst_worker)];
-  if (!slot) {
-    rdma::QpConfig qc = cfg_.qp;
-    qc.verb = cfg_.variant.transport == TransportMode::kRdmaOptimized
-                  ? rdma::Verb::kRead
-                  : rdma::Verb::kSendRecv;
-    auto& dw = *workers_[static_cast<size_t>(dst_worker)];
-    slot = std::make_unique<rdma::QueuePair>(
-        *fabric_, cfg_.cost, qc,
-        rdma::QpEndpoint{w.node, w.send_cpu.get()},
-        rdma::QpEndpoint{dw.node, dw.recv_cpu.get()});
-    WorkerRt* draw = &dw;
-    slot->set_recv_handler([this, draw, src_worker](rdma::Packet p) {
-      handle_bytes(*draw, std::move(p), src_worker);
-    });
-  }
-  return *slot;
+  return worker_qp(workers_[static_cast<size_t>(src_worker)]->data_qps,
+                   src_worker, dst_worker,
+                   cfg_.variant.transport == TransportMode::kRdmaOptimized
+                       ? rdma::Verb::kRead
+                       : rdma::Verb::kSendRecv);
 }
 
 rdma::QueuePair& Engine::ctrl_qp(int src_worker, int dst_worker) {
-  auto& w = *workers_[static_cast<size_t>(src_worker)];
-  auto& slot = w.ctrl_qps[static_cast<size_t>(dst_worker)];
+  // Control always uses SEND/RECV (Sec. 4).
+  return worker_qp(workers_[static_cast<size_t>(src_worker)]->ctrl_qps,
+                   src_worker, dst_worker, rdma::Verb::kSendRecv);
+}
+
+rdma::QueuePair& Engine::worker_qp(
+    std::vector<std::unique_ptr<rdma::QueuePair>>& qps, int src_worker,
+    int dst_worker, rdma::Verb verb) {
+  auto& slot = qps[static_cast<size_t>(dst_worker)];
   if (!slot) {
     rdma::QpConfig qc = cfg_.qp;
-    qc.verb = rdma::Verb::kSendRecv;  // control always uses SEND/RECV (Sec. 4)
+    qc.verb = verb;
+    auto& w = *workers_[static_cast<size_t>(src_worker)];
     auto& dw = *workers_[static_cast<size_t>(dst_worker)];
     slot = std::make_unique<rdma::QueuePair>(
         *fabric_, cfg_.cost, qc,
@@ -1418,7 +1431,7 @@ void Engine::deliver_local(TaskRt& dst,
     // quiesce protocol makes this structurally unreachable for data (every
     // upstream of a rescaled operator fences before the commit retires
     // anything), so this counter doubles as a proof obligation: the
-    // conservation sweep in tools/validate_elastic.py asserts it stays 0.
+    // elastic conservation check in tools/validate.py asserts it stays 0.
     ++report_.elastic.stale_drops;
     if (c_el_stale_drops_) c_el_stale_drops_->inc();
     return;
@@ -1781,10 +1794,7 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
                           : frame_mcast(graw->id,
                                         static_cast<uint32_t>(child_ep),
                                         *body);
-            const int ep = graw->endpoints[static_cast<size_t>(child_ep)];
-            m.dst_worker = graw->worker_level
-                               ? ep
-                               : tasks_[static_cast<size_t>(ep)]->worker;
+            m.dst_worker = endpoint_worker(*graw, child_ep);
             m.enqueued = cur_sim().now();
             m.root_id = tracked ? root : 0;
             m.src_task = traw->id;
@@ -2114,9 +2124,7 @@ void Engine::relay_mcast(WorkerRt& w, McastGroup& g, int my_endpoint,
       m.bytes = frame_mcast(g.id, static_cast<uint32_t>(child_ep),
                             payload_of(*pkt.bytes, env));
     }
-    const int ep = g.endpoints[static_cast<size_t>(child_ep)];
-    m.dst_worker =
-        g.worker_level ? ep : tasks_[static_cast<size_t>(ep)]->worker;
+    m.dst_worker = endpoint_worker(g, child_ep);
     m.enqueued = cur_sim().now();
     m.relay = true;
     m.src_task = pkt.src_task;
@@ -2263,67 +2271,51 @@ void Engine::begin_switch(McastGroup& g,
 
   // StatusMessage to every endpoint announcing the switch...
   for (size_t e = 1; e < g.endpoints.size(); ++e) {
-    const int ep = g.endpoints[e];
-    const int wk =
-        g.worker_level ? ep : tasks_[static_cast<size_t>(ep)]->worker;
-    send_control(g.src_worker, wk, g.id, MsgKind::kControl);
+    send_control(g.src_worker, endpoint_worker(g, static_cast<int>(e)), g.id,
+                 MsgKind::kControl);
   }
   // ...then a ControlMessage per moved endpoint; the recipient establishes
   // its new connection and ACKs.
-  for (const auto& mv : moves) {
-    const int ep = g.endpoints[static_cast<size_t>(mv.node)];
-    const int wk =
-        g.worker_level ? ep : tasks_[static_cast<size_t>(ep)]->worker;
-    send_reconfigure(g, wk);
-  }
+  for (const auto& mv : moves) send_reconfigure(g, endpoint_worker(g, mv.node));
 }
 
 void Engine::send_reconfigure(McastGroup& g, int dst_worker) {
   // Reconfigure messages carry ctype = kReconfigure in the payload.
-  auto& w = *workers_[static_cast<size_t>(g.src_worker)];
   ByteWriter hw(16);
   hw.put_u8(static_cast<uint8_t>(MsgKind::kControl));
   hw.put_varint(g.id);
   hw.put_u8(kReconfigure);
   auto v = hw.take();
   v.resize(std::max<size_t>(v.size(), cfg_.control_message_bytes), 0);
-  rdma::Packet pkt{make_bytes(std::move(v)), cur_sim().now(), 0};
-  if (cfg_.variant.rdma()) {
-    ctrl_qp(g.src_worker, dst_worker).transmit(rdma::Bundle{std::move(pkt)});
-  } else {
-    auto& dw = *workers_[static_cast<size_t>(dst_worker)];
-    WorkerRt* draw = &dw;
-    const int srcw = g.src_worker;
-    fabric_->transmit(net::Transport::kTcp, w.node, dw.node,
-                      pkt.bytes->size(),
-                      [this, draw, srcw, pkt = std::move(pkt)]() mutable {
-                        handle_bytes(*draw, std::move(pkt), srcw);
-                      });
-  }
+  send_ctrl_packet(g.src_worker, dst_worker, make_bytes(std::move(v)));
 }
 
 void Engine::send_control(int src_worker, int dst_worker, uint32_t group,
                           MsgKind kind) {
+  if (src_worker == dst_worker) return;  // nothing to announce locally
   ByteWriter hw(16);
   hw.put_u8(static_cast<uint8_t>(kind));
   hw.put_varint(group);
   hw.put_u8(kStatus);
   auto v = hw.take();
   v.resize(std::max<size_t>(v.size(), cfg_.control_message_bytes), 0);
-  rdma::Packet pkt{make_bytes(std::move(v)), cur_sim().now(), 0};
-  if (src_worker == dst_worker) return;  // nothing to announce locally
+  send_ctrl_packet(src_worker, dst_worker, make_bytes(std::move(v)));
+}
+
+void Engine::send_ctrl_packet(int src_worker, int dst_worker, Bytes bytes) {
+  rdma::Packet pkt{std::move(bytes), cur_sim().now(), 0};
   if (cfg_.variant.rdma()) {
     ctrl_qp(src_worker, dst_worker).transmit(rdma::Bundle{std::move(pkt)});
-  } else {
-    auto& w = *workers_[static_cast<size_t>(src_worker)];
-    auto& dw = *workers_[static_cast<size_t>(dst_worker)];
-    WorkerRt* draw = &dw;
-    fabric_->transmit(net::Transport::kTcp, w.node, dw.node,
-                      pkt.bytes->size(),
-                      [this, draw, src_worker, pkt = std::move(pkt)]() mutable {
-                        handle_bytes(*draw, std::move(pkt), src_worker);
-                      });
+    return;
   }
+  auto& w = *workers_[static_cast<size_t>(src_worker)];
+  auto& dw = *workers_[static_cast<size_t>(dst_worker)];
+  WorkerRt* draw = &dw;
+  const size_t size = pkt.bytes->size();
+  fabric_->transmit(net::Transport::kTcp, w.node, dw.node, size,
+                    [this, draw, src_worker, pkt = std::move(pkt)]() mutable {
+                      handle_bytes(*draw, std::move(pkt), src_worker);
+                    });
 }
 
 void Engine::handle_control(WorkerRt& w, rdma::Packet pkt) {
@@ -2332,31 +2324,17 @@ void Engine::handle_control(WorkerRt& w, rdma::Packet pkt) {
   const uint32_t group = static_cast<uint32_t>(r.get_varint());
   const uint8_t ctype = r.get_u8();
   if (ctype != kReconfigure) return;  // StatusMessage: informational only
-  auto& g = *groups_[group];
   // The endpoint tears down the old connection and establishes the new one
   // (QP creation + handshake), then ACKs to the source.
   WorkerRt* wr = &w;
   cur_sim().schedule_after(cfg_.switch_connection_setup, [this, wr, group] {
     if (wr->down) return;  // crashed while establishing the connection
-    auto& gg = *groups_[group];
     ByteWriter hw(8);
     hw.put_u8(static_cast<uint8_t>(MsgKind::kAck));
     hw.put_varint(group);
-    rdma::Packet ack{make_bytes(hw.take()), cur_sim().now(), 0};
-    if (cfg_.variant.rdma()) {
-      ctrl_qp(wr->id, gg.src_worker).transmit(rdma::Bundle{std::move(ack)});
-    } else {
-      auto& sw = *workers_[static_cast<size_t>(gg.src_worker)];
-      WorkerRt* sraw = &sw;
-      const int me = wr->id;
-      fabric_->transmit(net::Transport::kTcp, wr->node, sw.node,
-                        ack.bytes->size(),
-                        [this, sraw, me, ack = std::move(ack)]() mutable {
-                          handle_bytes(*sraw, std::move(ack), me);
-                        });
-    }
+    send_ctrl_packet(wr->id, groups_[group]->src_worker,
+                     make_bytes(hw.take()));
   });
-  (void)g;
 }
 
 void Engine::handle_ack(uint32_t group, int src_worker) {
@@ -2406,7 +2384,7 @@ void Engine::arm_faults() {
   };
   injector_ = std::make_unique<faults::FaultInjector>(sim_, cfg_.faults,
                                                       std::move(h));
-  if (obs::kCompiled) injector_->set_tracer(&tracer_);
+  injector_->set_tracer(&tracer_);
   injector_->arm();
 }
 
@@ -2627,9 +2605,7 @@ void Engine::maybe_start_repair(McastGroup& g) {
   g.repair_acks_got = 0;
   g.repair_pending_workers.clear();
   for (const auto& mv : moves) {
-    const int ep = g.endpoints[static_cast<size_t>(mv.node)];
-    const int wk =
-        g.worker_level ? ep : tasks_[static_cast<size_t>(ep)]->worker;
+    const int wk = endpoint_worker(g, mv.node);
     if (workers_[static_cast<size_t>(wk)]->down) continue;  // dead too
     ++g.repair_acks_needed;
     g.repair_pending_workers.push_back(wk);

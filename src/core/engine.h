@@ -332,8 +332,21 @@ class Engine {
   // --- construction ------------------------------------------------------
   void build_runtime();
   void build_mcast_groups();
+  // Builds g's tree over its current endpoints and, for a self-adjusting
+  // non-blocking tree, a fresh d* controller (the replaced controller's
+  // switch counts carry over). The tree starts at out-degree `dstar`, or
+  // cfg_.initial_dstar when `dstar` is 0, capped at the binomial degree.
+  void build_group_tree(McastGroup& g, int dstar);
+  // Traces g's structural tree changes on the source's control lane.
+  void observe_tree_repairs(McastGroup& g);
+  // The worker hosting tree node `node` of g.
+  int endpoint_worker(const McastGroup& g, int node) const;
   rdma::QueuePair& data_qp(int src_worker, int dst_worker);
   rdma::QueuePair& ctrl_qp(int src_worker, int dst_worker);
+  // The src->dst QP in `qps` (one of src's per-destination tables),
+  // created with `verb` on first use.
+  rdma::QueuePair& worker_qp(std::vector<std::unique_ptr<rdma::QueuePair>>& qps,
+                             int src_worker, int dst_worker, rdma::Verb verb);
   SlicingBuffer& slicer(int src_worker, int dst_worker);
 
   // --- data path -----------------------------------------------------------
@@ -394,6 +407,9 @@ class Engine {
   // Reconfigure message (ctype = kReconfigure): the recipient establishes
   // its new upstream connection and ACKs. Used by switching and repair.
   void send_reconfigure(McastGroup& g, int dst_worker);
+  // Ships a control-plane message between workers: over the control QP on
+  // RDMA variants, as a TCP message otherwise.
+  void send_ctrl_packet(int src_worker, int dst_worker, Bytes bytes);
 
   // --- fault injection & recovery -------------------------------------------
   void arm_faults();
@@ -407,7 +423,7 @@ class Engine {
   void maybe_replay(uint64_t root);
 
   // --- checkpointing (src/state) --------------------------------------------
-  bool state_on() const { return state::kCompiled && cfg_.state.enabled; }
+  bool state_on() const { return cfg_.state.enabled; }
   // Remote backend exists iff state is on AND cfg_.state.remote (the ctor
   // sized the fabric with the extra state-host node in that case).
   bool remote_state_on() const { return state_on() && remote_state_ != nullptr; }
@@ -444,13 +460,14 @@ class Engine {
   void replay_spout_log(TaskRt& s, std::vector<dsps::Tuple> tuples);
 
   // --- elastic rescaling (src/elastic; engine_elastic.cc) -------------------
-  bool elastic_on() const {
-    return elastic::kCompiled && cfg_.elastic.enabled;
-  }
+  bool elastic_on() const { return cfg_.elastic.enabled; }
   // Validates the config, builds one ScalingController per rescalable
-  // operator and (optionally) installs the d* backlog probes. Called from
-  // the ctor after build_mcast_groups.
+  // operator and installs the d* backlog probes. Called from the ctor
+  // after build_mcast_groups.
   void elastic_setup();
+  // Feeds g's d* controller the smoothed backlog of the scaling controller
+  // watching g's destination operator, if both exist.
+  void drive_dstar_from_backlog(McastGroup& g);
   // Poll tick: feeds every controller its operator's backlog fraction;
   // adopts the first plan issued (plans serialize engine-wide).
   void elastic_tick();
@@ -510,8 +527,8 @@ class Engine {
 
   // --- observability ----------------------------------------------------------
   void obs_setup();
-  bool metrics_on() const { return obs::kCompiled && metrics_.enabled(); }
-  bool trace_on() const { return obs::kCompiled && tracer_.enabled(); }
+  bool metrics_on() const { return metrics_.enabled(); }
+  bool trace_on() const { return tracer_.enabled(); }
 
   EngineConfig cfg_;
   dsps::Topology topo_;

@@ -66,18 +66,18 @@ void Engine::elastic_setup() {
     escalers_[op] = std::make_unique<elastic::ScalingController>(
         cfg_.elastic, static_cast<int>(op), topo_.ops[op].parallelism);
   }
-  // Satellite wiring: the d* controllers of multicast groups feeding a
-  // rescalable operator see the scaling controller's smoothed backlog as
-  // a queue-length floor, so tree out-degree reacts to the same gauge
-  // stream the rescaler acts on. Never installed with elasticity off.
-  if (cfg_.elastic.drive_mcast_dstar) {
-    for (auto& gp : groups_) {
-      if (!gp->controller) continue;
-      elastic::ScalingController* sc =
-          escalers_[static_cast<size_t>(gp->dst_op)].get();
-      if (!sc) continue;
-      gp->controller->set_backlog_probe([sc] { return sc->backlog_ewma(); });
-    }
+  for (auto& gp : groups_) drive_dstar_from_backlog(*gp);
+}
+
+void Engine::drive_dstar_from_backlog(McastGroup& g) {
+  // The d* controllers of multicast groups feeding a rescalable operator
+  // see the scaling controller's smoothed backlog as a queue-length floor,
+  // so tree out-degree reacts to the same gauge stream the rescaler acts
+  // on. Never installed with elasticity off.
+  elastic::ScalingController* sc =
+      escalers_[static_cast<size_t>(g.dst_op)].get();
+  if (g.controller && sc) {
+    g.controller->set_backlog_probe([sc] { return sc->backlog_ewma(); });
   }
 }
 
@@ -542,52 +542,8 @@ void Engine::rescale_mcast_group(McastGroup& g) {
         static_cast<int>(g.endpoints.size());
     g.endpoints.push_back(id);
   }
-  const int n = static_cast<int>(g.endpoints.size()) - 1;
-  switch (cfg_.variant.mcast) {
-    case McastMode::kSequential:
-      g.tree = multicast::MulticastTree::build_sequential(n);
-      break;
-    case McastMode::kBinomial:
-      g.tree = multicast::MulticastTree::build_binomial(n);
-      break;
-    case McastMode::kNonblocking: {
-      const int cap = std::max(1, multicast::MD1::binomial_out_degree(n));
-      const int d0 = old_dstar > 0 ? std::clamp(old_dstar, 1, cap)
-                     : cfg_.initial_dstar > 0
-                         ? std::min(cfg_.initial_dstar, cap)
-                         : cap;
-      g.tree = multicast::MulticastTree::build_nonblocking(n, d0);
-      if (g.controller) {
-        // d* decisions restart against the new destination count; the
-        // fingerprinted switch counters carry over via the group so
-        // finalize_report still reports whole-run totals.
-        g.carry_scale_ups += g.controller->scale_ups();
-        g.carry_scale_downs += g.controller->scale_downs();
-        g.controller = std::make_unique<multicast::SelfAdjustingController>(
-            cfg_.controller, cfg_.executor_queue_capacity, n, d0);
-        if (elastic_on() && cfg_.elastic.drive_mcast_dstar) {
-          elastic::ScalingController* sc = escalers_[dst_op].get();
-          if (sc) {
-            g.controller->set_backlog_probe(
-                [sc] { return sc->backlog_ewma(); });
-          }
-        }
-      }
-      break;
-    }
-  }
-  // The assignment above replaced the tree object — reinstall the
-  // structural-change observer obs_setup had attached.
-  if (trace_on()) {
-    McastGroup* graw = &g;
-    g.tree.set_repair_observer(
-        [this, graw](const char* op, int node, size_t moves) {
-          tracer_.instant(op, "mcast", graw->src_worker, obs::kLaneControl,
-                          cur_sim().now(), 0, "moves",
-                          static_cast<double>(moves));
-          (void)node;
-        });
-  }
+  build_group_tree(g, old_dstar);
+  drive_dstar_from_backlog(g);
 }
 
 }  // namespace whale::core

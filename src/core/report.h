@@ -251,8 +251,8 @@ struct RunReport {
     u("ack_cnt", ack_latency.count());
     u("events", sim_events);
     // Checkpointing fields appear only when the run actually checkpointed:
-    // with the state layer off (or compiled out) nothing below can be
-    // nonzero and the string stays bit-identical to the pre-state baseline.
+    // with the state layer off nothing below can be nonzero and the string
+    // stays bit-identical to the pre-state baseline.
     if (epochs_completed || epochs_aborted || barriers_injected ||
         checkpoint_recoveries || checkpoint_replays) {
       u("epochs", epochs_completed);

@@ -1,22 +1,14 @@
 // Elastic runtime rescaling configuration (DESIGN.md §14).
 //
-// Mirrors the state layer's zero-overhead contract: the subsystem can be
-// compiled out entirely with -DWHALE_NO_ELASTIC (CMake option
-// WHALE_NO_ELASTIC), and even when compiled in it is disabled by default.
-// With elasticity off the engine constructs no scaling controllers,
-// schedules zero poll events and installs no probes, so the behavioural
-// fingerprints stay bit-identical to the committed baseline.
+// Mirrors the state layer's zero-overhead contract: the subsystem is disabled
+// by default, and with elasticity off the engine constructs no scaling
+// controllers, schedules zero poll events and installs no probes, so the
+// behavioural fingerprints stay bit-identical to the committed baseline.
 #pragma once
 
 #include "common/time.h"
 
 namespace whale::elastic {
-
-#ifdef WHALE_NO_ELASTIC
-inline constexpr bool kCompiled = false;
-#else
-inline constexpr bool kCompiled = true;
-#endif
 
 // Knobs for the gauge-driven scaling controller and the live-migration
 // protocol. Lives here (header-only) so core/config.h can embed it
@@ -57,12 +49,6 @@ struct ElasticConfig {
   int step = 1;
   int min_parallelism = 1;
   int max_parallelism = 0;
-
-  // Satellite wiring: when true (and elasticity is on), the scaling
-  // controller's smoothed backlog probe is installed into every multicast
-  // d* controller whose destination operator it watches, so tree
-  // out-degree and operator parallelism react to the same gauge stream.
-  bool drive_mcast_dstar = true;
 };
 
 }  // namespace whale::elastic

@@ -12,7 +12,7 @@ FaultInjector::FaultInjector(sim::Simulation& sim, FaultPlan plan,
     : sim_(sim), plan_(std::move(plan)), hooks_(std::move(hooks)) {}
 
 void FaultInjector::trace_instant(const char* name, int node) {
-  if (obs::kCompiled && tracer_ && tracer_->enabled()) {
+  if (tracer_ && tracer_->enabled()) {
     tracer_->instant(name, "fault", node, obs::kLaneControl, sim_.now());
   }
 }

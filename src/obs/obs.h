@@ -6,11 +6,6 @@
 // Both are default-off and schedule ZERO simulation events while disabled,
 // so an instrumented build is bit-identical to an uninstrumented one (the
 // fingerprint-parity gate in tests/test_fingerprint.cc pins this).
-//
-// Compile-out: building with -DWHALE_NO_OBS flips kCompiled to false; every
-// hook site is guarded by `obs::kCompiled && ...`, so the branches
-// constant-fold away entirely. The classes themselves always compile (the
-// unit tests exercise them directly).
 #pragma once
 
 #include <cstddef>
@@ -19,12 +14,6 @@
 #include "common/time.h"
 
 namespace whale::obs {
-
-#ifdef WHALE_NO_OBS
-inline constexpr bool kCompiled = false;
-#else
-inline constexpr bool kCompiled = true;
-#endif
 
 struct ObsConfig {
   // Periodic MetricsRegistry snapshots (queue depths, ring occupancy,

@@ -170,18 +170,16 @@ void QueuePair::release_space() {
 
 void QueuePair::deliver(Packet p) {
   ++packets_delivered_;
-  if (obs::kCompiled) {
-    // One span per delivered packet covering creation (serialization on the
-    // producer) through RNIC delivery — ring wait, READ batching and wire
-    // time included. The tracer lives on the engine; the fabric carries the
-    // pointer down here.
-    obs::Tracer* tr = fabric_.tracer();
-    if (tr && tr->sampled(p.id)) {
-      const Time now = fabric_.simulation().now();
-      tr->complete("rdma_transfer", "net", remote_.node, obs::kLaneNet,
-                   p.created, now - p.created, p.id, "bytes",
-                   static_cast<double>(p.size()));
-    }
+  // One span per delivered packet covering creation (serialization on the
+  // producer) through RNIC delivery — ring wait, READ batching and wire
+  // time included. The tracer lives on the engine; the fabric carries the
+  // pointer down here.
+  obs::Tracer* tr = fabric_.tracer();
+  if (tr && tr->sampled(p.id)) {
+    const Time now = fabric_.simulation().now();
+    tr->complete("rdma_transfer", "net", remote_.node, obs::kLaneNet,
+                 p.created, now - p.created, p.id, "bytes",
+                 static_cast<double>(p.size()));
   }
   if (recv_handler_) recv_handler_(std::move(p));
 }

@@ -1,21 +1,14 @@
 // Checkpointing & state management configuration (DESIGN.md §10).
 //
-// Mirrors the obs layer's zero-overhead contract: the subsystem can be
-// compiled out entirely with -DWHALE_NO_STATE (CMake option WHALE_NO_STATE),
-// and even when compiled in it is disabled by default. With checkpointing
-// off the engine schedules zero extra events and counts nothing, so the
-// behavioural fingerprints stay bit-identical to the committed baseline.
+// Mirrors the obs layer's zero-overhead contract: the subsystem is disabled
+// by default, and with checkpointing off the engine schedules zero extra
+// events and counts nothing, so the behavioural fingerprints stay
+// bit-identical to the committed baseline.
 #pragma once
 
 #include "common/time.h"
 
 namespace whale::state {
-
-#ifdef WHALE_NO_STATE
-inline constexpr bool kCompiled = false;
-#else
-inline constexpr bool kCompiled = true;
-#endif
 
 // Knobs for the checkpoint coordinator and the simulated persistent store.
 // Lives here (header-only) so core/config.h can embed it without a link

@@ -3,9 +3,9 @@
 // results/fingerprints_baseline.txt pins the behavioural fingerprint of
 // eight deterministic workloads. Two properties are enforced here:
 //
-//  1. A build with the obs layer compiled in but *disabled* (the default
-//     EngineConfig) is bit-identical to the recorded baseline — the
-//     observability layer is a passive witness with zero overhead when off.
+//  1. A run with the obs layer *disabled* (the default EngineConfig) is
+//     bit-identical to the recorded baseline — the observability layer is
+//     a passive witness with zero overhead when off.
 //  2. Enabling *tracing* (metrics stay off) still matches the baseline:
 //     the tracer only records from callbacks that already exist, so it
 //     schedules zero extra simulation events and perturbs nothing.
@@ -19,8 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/fingerprint_suite.h"
-#include "obs/obs.h"
-#include "state/state.h"
 
 namespace {
 
@@ -50,7 +48,7 @@ TEST(FingerprintParity, BaselineCoversEveryProbe) {
   }
 }
 
-// Property 1: obs compiled in but disabled == recorded baseline, for every
+// Property 1: obs disabled == recorded baseline, for every
 // probe in the suite.
 TEST(FingerprintParity, DisabledObsMatchesBaseline) {
   const auto baseline = load_baseline();
@@ -66,7 +64,6 @@ TEST(FingerprintParity, DisabledObsMatchesBaseline) {
 // probe and the fault/recovery probe. The tracer must never schedule an
 // event, so `events=` in the fingerprint cannot move.
 TEST(FingerprintParity, TracingOnMatchesBaseline) {
-  if (!whale::obs::kCompiled) GTEST_SKIP() << "built with WHALE_NO_OBS";
   const auto baseline = load_baseline();
   for (const std::string label : {"fig13/whale", "faults/whale-seeded"}) {
     const FingerprintLine got =
@@ -80,12 +77,11 @@ TEST(FingerprintParity, TracingOnMatchesBaseline) {
   }
 }
 
-// Property 3: the state/checkpointing layer compiled in but runtime-off is
+// Property 3: the state/checkpointing layer runtime-off is
 // bit-identical to the baseline regardless of how its other knobs are set.
 // (Property 1 already covers the default-constructed StateConfig; this
 // pins that `enabled` alone gates every effect.)
 TEST(FingerprintParity, DisabledCheckpointingMatchesBaseline) {
-  if (!whale::state::kCompiled) GTEST_SKIP() << "built with WHALE_NO_STATE";
   const auto baseline = load_baseline();
   for (const auto& label : fingerprint_probe_labels()) {
     const FingerprintLine got =

@@ -13,10 +13,8 @@
 #include "dsps/serde.h"
 #include "faults/plan.h"
 #include "multicast/tree.h"
-#include "obs/obs.h"
 #include "rdma/channel.h"
 #include "rdma/ring_buffer.h"
-#include "state/state.h"
 
 namespace whale {
 namespace {
@@ -269,8 +267,6 @@ uint64_t obs_count(core::Engine& e, const char* name) {
 }
 
 TEST(Fuzz, EngineConservesTuplesUnderRandomFaultPlans) {
-  if (!obs::kCompiled)
-    GTEST_SKIP() << "conservation ledger needs the obs counters";
   const core::SystemVariant variants[] = {core::SystemVariant::Storm(),
                                           core::SystemVariant::RdmaStorm(),
                                           core::SystemVariant::Whale()};
@@ -351,7 +347,6 @@ TEST(Fuzz, EngineConservesTuplesUnderRandomFaultPlans) {
 //  - epochs actually commit across the sweep;
 //  - barriers never leak into the data-loss counters the engine owns.
 TEST(Fuzz, CheckpointAlignmentNeverDeadlocksUnderFaults) {
-  if (!state::kCompiled) GTEST_SKIP() << "state layer compiled out";
   uint64_t total_epochs = 0;
   uint64_t total_recoveries = 0;
   int combos = 0;

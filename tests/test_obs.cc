@@ -429,7 +429,6 @@ TEST(ObsEngine, DisabledByDefaultRecordsNothing) {
 }
 
 TEST(ObsEngine, TracingSchedulesZeroExtraEvents) {
-  if (!obs::kCompiled) GTEST_SKIP() << "built with WHALE_NO_OBS";
   core::EngineConfig c = obs_cfg(2, core::SystemVariant::Whale());
   core::Engine base(c, chain_topo(2000.0));
   const uint64_t base_events = [&] {
@@ -445,7 +444,6 @@ TEST(ObsEngine, TracingSchedulesZeroExtraEvents) {
 }
 
 TEST(ObsEngine, SnapshotCadenceFollowsSimulatedTime) {
-  if (!obs::kCompiled) GTEST_SKIP() << "built with WHALE_NO_OBS";
   core::EngineConfig c = obs_cfg(2, core::SystemVariant::Whale());
   c.obs.metrics_enabled = true;
   c.obs.snapshot_interval = ms(10);
@@ -471,7 +469,6 @@ TEST(ObsEngine, SnapshotCadenceFollowsSimulatedTime) {
 }
 
 TEST(ObsEngine, SpanNestingFollowsTuplePath) {
-  if (!obs::kCompiled) GTEST_SKIP() << "built with WHALE_NO_OBS";
   core::EngineConfig c = obs_cfg(2, core::SystemVariant::Storm());
   c.obs.tracing_enabled = true;
   core::Engine e(c, chain_topo(1500.0));
@@ -515,7 +512,6 @@ TEST(ObsEngine, SpanNestingFollowsTuplePath) {
 }
 
 TEST(ObsEngine, StrideSamplesOnlyMatchingRoots) {
-  if (!obs::kCompiled) GTEST_SKIP() << "built with WHALE_NO_OBS";
   core::EngineConfig c = obs_cfg(2, core::SystemVariant::Storm());
   c.obs.tracing_enabled = true;
   c.obs.trace_sample_stride = 4;
@@ -532,7 +528,6 @@ TEST(ObsEngine, StrideSamplesOnlyMatchingRoots) {
 }
 
 TEST(ObsEngine, TraceIsDeterministicAcrossRuns) {
-  if (!obs::kCompiled) GTEST_SKIP() << "built with WHALE_NO_OBS";
   core::EngineConfig c = obs_cfg(3, core::SystemVariant::Whale());
   c.obs.tracing_enabled = true;
   auto run_once = [&c] {
@@ -555,7 +550,6 @@ TEST(ObsEngine, TraceIsDeterministicAcrossRuns) {
 }
 
 TEST(ObsEngine, RecoveryEpisodeAppearsAsNamedSpans) {
-  if (!obs::kCompiled) GTEST_SKIP() << "built with WHALE_NO_OBS";
   // A crashed relay in a d*=1 chain tree: the fault instant, the structural
   // tree patch, and the repair episode span must all land in the trace.
   core::EngineConfig c = obs_cfg(6, core::SystemVariant::Whale());

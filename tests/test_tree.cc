@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "multicast/capability.h"
 #include "multicast/tree.h"
@@ -67,15 +70,44 @@ TEST(Tree, SequentialIsAStar) {
   for (int v = 1; v <= 29; ++v) EXPECT_EQ(t.parent(v), 0);
 }
 
+// The two parameter sweeps below register their cases directly rather than
+// through TEST_P + INSTANTIATE_TEST_SUITE_P, because an instantiation pairs
+// every check with every point and some checks apply to only part of a
+// sweep. Each case keeps the name an instantiation would give it: suite
+// "Sweep/<fixture>", test "<check>/<index>", and the printed point as its
+// value parameter, which ctest uses in place of the index.
+template <typename P>
+class SweepCase : public ::testing::Test {
+ public:
+  SweepCase(P p, void (*check)(const P&)) : p_(p), check_(check) {}
+  void TestBody() override { check_(p_); }
+
+ private:
+  P p_;
+  void (*check_)(const P&);
+};
+
+template <typename P>
+void register_sweep(const char* fixture, const char* check_name,
+                    void (*check)(const P&), const std::vector<P>& points) {
+  const std::string suite = std::string("Sweep/") + fixture;
+  for (size_t i = 0; i < points.size(); ++i) {
+    const P p = points[i];
+    const std::string name = std::string(check_name) + "/" + std::to_string(i);
+    ::testing::RegisterTest(
+        suite.c_str(), name.c_str(), nullptr,
+        ::testing::PrintToString(p).c_str(), __FILE__, __LINE__,
+        [p, check]() -> SweepCase<P>* { return new SweepCase<P>(p, check); });
+  }
+}
+
 struct TreeParam {
   int n;
   int dstar;
 };
 
-class NonblockingTreeP : public ::testing::TestWithParam<TreeParam> {};
-
-TEST_P(NonblockingTreeP, StructuralInvariants) {
-  const auto [n, dstar] = GetParam();
+void structural_invariants(const TreeParam& p) {
+  const auto [n, dstar] = p;
   auto t = MulticastTree::build_nonblocking(n, dstar);
   // Connected, consistent, degree-capped.
   EXPECT_EQ(t.validate(dstar), "") << "n=" << n << " d*=" << dstar;
@@ -86,11 +118,11 @@ TEST_P(NonblockingTreeP, StructuralInvariants) {
   EXPECT_EQ(t.out_degree(0), std::min(dstar, dlog));
 }
 
-TEST_P(NonblockingTreeP, LayerPopulationsMatchCapabilityRecurrence) {
+void layer_populations_match_capability_recurrence(const TreeParam& p) {
   // The strongest link between Algorithm 1 and Theorem 2: the number of
   // nodes covered by time unit t in the constructed tree equals L(t)
   // exactly, for every full layer (the last layer may be cut short by n).
-  const auto [n, dstar] = GetParam();
+  const auto [n, dstar] = p;
   auto t = MulticastTree::build_nonblocking(n, dstar);
   const int depth = t.depth();
   const auto L = multicast_capability(dstar, depth);
@@ -107,11 +139,10 @@ TEST_P(NonblockingTreeP, LayerPopulationsMatchCapabilityRecurrence) {
             static_cast<uint64_t>(n) + 1);
 }
 
-TEST_P(NonblockingTreeP, ScaleDownMovesSubtreesIntact) {
+void scale_down_moves_subtrees_intact(const TreeParam& p) {
   // Sec. 3.4: the switching algorithm re-attaches marked *subtrees* —
   // a moved node keeps its own children.
-  const auto [n, dstar] = GetParam();
-  if (dstar <= 1) GTEST_SKIP();
+  const auto [n, dstar] = p;
   auto t = MulticastTree::build_nonblocking(n, dstar);
   std::vector<std::vector<int>> children_before(
       static_cast<size_t>(t.num_nodes()));
@@ -138,23 +169,14 @@ TEST_P(NonblockingTreeP, ScaleDownMovesSubtreesIntact) {
   }
 }
 
-TEST_P(NonblockingTreeP, DepthMatchesCapabilityRecurrence) {
+void depth_matches_capability_recurrence(const TreeParam& p) {
   // The number of logical layers Algorithm 1 produces equals the number of
   // relay time units the L(t) recurrence needs to cover n destinations.
-  const auto [n, dstar] = GetParam();
+  const auto [n, dstar] = p;
   auto t = MulticastTree::build_nonblocking(n, dstar);
   EXPECT_EQ(t.depth(), time_units_to_cover(dstar, static_cast<uint64_t>(n)))
       << "n=" << n << " d*=" << dstar;
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, NonblockingTreeP,
-    ::testing::Values(TreeParam{1, 1}, TreeParam{2, 1}, TreeParam{5, 1},
-                      TreeParam{7, 2}, TreeParam{10, 2}, TreeParam{29, 2},
-                      TreeParam{29, 3}, TreeParam{29, 5}, TreeParam{30, 4},
-                      TreeParam{63, 3}, TreeParam{100, 2}, TreeParam{100, 6},
-                      TreeParam{255, 4}, TreeParam{479, 3}, TreeParam{479, 9},
-                      TreeParam{480, 2}, TreeParam{480, 16}));
 
 TEST(Capability, BinomialDoubles) {
   const auto L = multicast_capability(30, 10);
@@ -225,12 +247,10 @@ TEST(Switching, Fig8bScaleUp) {
   EXPECT_LE(t.depth(), 3);
 }
 
-class SwitchSweepP
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+using SwitchPoint = std::tuple<int, int, int>;  // n, d_from, d_to
 
-TEST_P(SwitchSweepP, ScaleDownPreservesInvariants) {
-  const auto [n, d_from, d_to] = GetParam();
-  if (d_to >= d_from) GTEST_SKIP();
+void scale_down_preserves_invariants(const SwitchPoint& p) {
+  const auto [n, d_from, d_to] = p;
   auto t = MulticastTree::build_nonblocking(n, d_from);
   const int before = t.num_destinations();
   t.plan_scale_down(d_to);
@@ -239,9 +259,8 @@ TEST_P(SwitchSweepP, ScaleDownPreservesInvariants) {
   EXPECT_EQ(t.num_destinations(), before);
 }
 
-TEST_P(SwitchSweepP, ScaleUpPreservesInvariantsAndNeverDeepens) {
-  const auto [n, d_from, d_to] = GetParam();
-  if (d_to <= d_from) GTEST_SKIP();
+void scale_up_preserves_invariants_and_never_deepens(const SwitchPoint& p) {
+  const auto [n, d_from, d_to] = p;
   auto t = MulticastTree::build_nonblocking(n, d_from);
   const int depth_before = t.depth();
   const int before = t.num_destinations();
@@ -251,11 +270,42 @@ TEST_P(SwitchSweepP, ScaleUpPreservesInvariantsAndNeverDeepens) {
   EXPECT_LE(t.depth(), depth_before);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SwitchSweepP,
-    ::testing::Combine(::testing::Values(5, 7, 29, 64, 100, 480),
-                       ::testing::Values(1, 2, 3, 5, 8),
-                       ::testing::Values(1, 2, 3, 5, 8)));
+[[maybe_unused]] const bool kSweepsRegistered = [] {
+  const std::vector<TreeParam> trees = {
+      {1, 1},   {2, 1},   {5, 1},   {7, 2},   {10, 2},  {29, 2},
+      {29, 3},  {29, 5},  {30, 4},  {63, 3},  {100, 2}, {100, 6},
+      {255, 4}, {479, 3}, {479, 9}, {480, 2}, {480, 16}};
+  // Scaling down to d* - 1 needs d* > 1.
+  std::vector<TreeParam> shrinkable;
+  for (const TreeParam& p : trees) {
+    if (p.dstar > 1) shrinkable.push_back(p);
+  }
+  register_sweep("NonblockingTreeP", "StructuralInvariants",
+                 structural_invariants, trees);
+  register_sweep("NonblockingTreeP",
+                 "LayerPopulationsMatchCapabilityRecurrence",
+                 layer_populations_match_capability_recurrence, trees);
+  register_sweep("NonblockingTreeP", "ScaleDownMovesSubtreesIntact",
+                 scale_down_moves_subtrees_intact, shrinkable);
+  register_sweep("NonblockingTreeP", "DepthMatchesCapabilityRecurrence",
+                 depth_matches_capability_recurrence, trees);
+
+  std::vector<SwitchPoint> downs;
+  std::vector<SwitchPoint> ups;
+  for (int n : {5, 7, 29, 64, 100, 480}) {
+    for (int d_from : {1, 2, 3, 5, 8}) {
+      for (int d_to : {1, 2, 3, 5, 8}) {
+        if (d_from > d_to) downs.emplace_back(n, d_from, d_to);
+        if (d_from < d_to) ups.emplace_back(n, d_from, d_to);
+      }
+    }
+  }
+  register_sweep("SwitchSweepP", "ScaleDownPreservesInvariants",
+                 scale_down_preserves_invariants, downs);
+  register_sweep("SwitchSweepP", "ScaleUpPreservesInvariantsAndNeverDeepens",
+                 scale_up_preserves_invariants_and_never_deepens, ups);
+  return true;
+}();
 
 TEST(Switching, RepeatedSwitchesStayValid) {
   auto t = MulticastTree::build_nonblocking(100, 4);

@@ -11,7 +11,7 @@
 //
 // The default stride of 50 keeps the trace readable (~1 in 50 root tuples
 // sampled); recovery/fault spans are always recorded regardless of stride.
-// CI runs this and validates the output with tools/validate_obs.py.
+// CI runs this and validates the output with tools/validate.py <out_dir>.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
