@@ -66,12 +66,33 @@ FingerprintLine probe_faults(const ConfigMutator& mutate) {
   return {"faults/whale-seeded", r.fingerprint()};
 }
 
+// Checkpointing on: the fig13 ride-hailing shape at 1,000 requests/s,
+// epochs every 50 ms, and node 3 crashing mid-window so one recovery
+// restores the committed images and replays the spout logs. `medium`
+// picks the snapshot store and barrier mode under test.
+FingerprintLine probe_state(const std::string& label,
+                            void (*medium)(state::StateConfig&),
+                            const ConfigMutator& mutate) {
+  core::EngineConfig cfg = base_config(core::SystemVariant::Whale());
+  cfg.state.enabled = true;
+  cfg.state.checkpoint_interval = ms(50);
+  medium(cfg.state);
+  cfg.faults.crash(/*node=*/3, /*at=*/ms(250), /*restart_after=*/ms(50));
+  if (mutate) mutate(cfg);
+  RideHailingAppParams p = ride_params();
+  p.request_rate = dsps::RateProfile::constant(1000);
+  core::Engine e(cfg, build_ride_hailing(p).topology);
+  const auto& r = e.run(ms(100), ms(300));
+  return {"state/" + label, r.fingerprint()};
+}
+
 }  // namespace
 
 std::vector<std::string> fingerprint_probe_labels() {
   return {"fig13/storm", "fig13/rdma-storm", "fig13/whale-woc", "fig13/whale",
           "fig15/storm", "fig15/rdmc",       "fig15/whale",
-          "faults/whale-seeded"};
+          "faults/whale-seeded", "state/local-aligned",
+          "state/local-unaligned", "state/remote-incremental"};
 }
 
 FingerprintLine run_fingerprint_probe(const std::string& label,
@@ -99,6 +120,22 @@ FingerprintLine run_fingerprint_probe(const std::string& label,
   }
   if (label == "faults/whale-seeded") {
     return probe_faults(mutate);
+  }
+  if (label == "state/local-aligned") {
+    return probe_state("local-aligned", [](state::StateConfig&) {}, mutate);
+  }
+  if (label == "state/local-unaligned") {
+    return probe_state(
+        "local-unaligned", [](state::StateConfig& s) { s.unaligned = true; },
+        mutate);
+  }
+  if (label == "state/remote-incremental") {
+    return probe_state("remote-incremental",
+                       [](state::StateConfig& s) {
+                         s.remote = true;
+                         s.incremental = true;
+                       },
+                       mutate);
   }
   throw std::out_of_range("unknown fingerprint probe: " + label);
 }

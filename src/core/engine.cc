@@ -75,9 +75,9 @@ void loop_async(Body body_in) {
 
 Engine::Engine(EngineConfig cfg, dsps::Topology topo)
     : cfg_(std::move(cfg)), topo_(std::move(topo)) {
-  // The remote state backend lives on a dedicated state-host node appended
-  // past the workers; it exists in the fabric only when the backend is on,
-  // so backend-off runs build the exact same fabric as before.
+  // The remote checkpoint-store medium lives on a dedicated state-host node
+  // appended past the workers; it exists in the fabric only when that
+  // medium is on, so other runs build the exact same fabric as before.
   net::ClusterSpec cluster = cfg_.cluster;
   const bool remote = cfg_.state.enabled && cfg_.state.remote;
   if (remote) cluster.num_nodes += 1;
@@ -96,8 +96,8 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
     psim_->set_lookahead(
         fabric_->min_cross_propagation(wire, psim_->node_partition_map()));
   }
-  if (remote) {
-    remote_state_ = std::make_unique<state::RemoteStateBackend>(
+  if (state_on()) {
+    ckpt_store_ = std::make_unique<state::CheckpointStore>(
         *fabric_, cfg_.cost, cfg_.state, /*host_node=*/cfg_.cluster.num_nodes);
   }
   build_runtime();
@@ -243,15 +243,15 @@ void Engine::obs_setup() {
     metrics_.gauge("state.channel_bytes", [this] {
       return static_cast<double>(checkpoints_.stats().channel_bytes_total);
     });
-    if (remote_state_) {
+    if (cfg_.state.remote) {
       metrics_.gauge("state.remote_write_bytes", [this] {
-        return static_cast<double>(remote_state_->stats().write_bytes);
+        return static_cast<double>(ckpt_store_->stats().write_bytes);
       });
       metrics_.gauge("state.remote_read_bytes", [this] {
-        return static_cast<double>(remote_state_->stats().read_bytes);
+        return static_cast<double>(ckpt_store_->stats().read_bytes);
       });
       metrics_.gauge("state.mr_registered_bytes", [this] {
-        return static_cast<double>(remote_state_->stats().region_bytes);
+        return static_cast<double>(ckpt_store_->stats().region_bytes);
       });
     }
   }
@@ -425,6 +425,12 @@ Engine::~Engine() = default;
 // Construction
 // ---------------------------------------------------------------------------
 
+sim::CorePool* Engine::core_pool(int node) const {
+  return cfg_.model_core_contention
+             ? core_pools_[static_cast<size_t>(node)].get()
+             : nullptr;
+}
+
 void Engine::build_runtime() {
   const int num_workers = cfg_.cluster.num_nodes;
   if (cfg_.model_core_contention) {
@@ -433,20 +439,15 @@ void Engine::build_runtime() {
           node_sim(n), cfg_.cluster.cores_per_node));
     }
   }
-  auto pool_of = [this](int node) -> sim::CorePool* {
-    return cfg_.model_core_contention
-               ? core_pools_[static_cast<size_t>(node)].get()
-               : nullptr;
-  };
   workers_.reserve(static_cast<size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
     auto wr = std::make_unique<WorkerRt>();
     wr->id = w;
     wr->node = w;  // one worker process per node (paper setup)
     wr->send_cpu = std::make_unique<sim::CpuServer>(
-        node_sim(w), "w" + std::to_string(w) + ".send", pool_of(w));
+        node_sim(w), "w" + std::to_string(w) + ".send", core_pool(w));
     wr->recv_cpu = std::make_unique<sim::CpuServer>(
-        node_sim(w), "w" + std::to_string(w) + ".recv", pool_of(w));
+        node_sim(w), "w" + std::to_string(w) + ".recv", core_pool(w));
     wr->transfer_queue = std::make_unique<sim::BoundedQueue<OutMsg>>(
         cfg_.transfer_queue_capacity);
     wr->data_qps.resize(static_cast<size_t>(num_workers));
@@ -479,91 +480,102 @@ void Engine::build_runtime() {
     if (spec.is_spout) total_spouts += static_cast<uint64_t>(spec.parallelism);
   }
   uint64_t spout_index = 0;
-  int task_id = 0;
   for (size_t op = 0; op < topo_.ops.size(); ++op) {
     const auto& spec = topo_.ops[op];
     for (int i = 0; i < spec.parallelism; ++i) {
-      auto t = std::make_unique<TaskRt>();
-      t->id = task_id++;
-      t->op = static_cast<int>(op);
-      t->instance = i;
-      t->worker = i % num_workers;  // Storm-style round-robin placement
-      t->node = workers_[static_cast<size_t>(t->worker)]->node;
-      t->cpu = std::make_unique<sim::CpuServer>(
-          node_sim(t->node), spec.name + "[" + std::to_string(i) + "]",
-          pool_of(t->node));
-      t->in_queue = std::make_unique<sim::BoundedQueue<Delivery>>(
-          cfg_.executor_queue_capacity);
-      t->strategies.reserve(spec.out_streams.size());
-      for (int sid : spec.out_streams) {
-        t->strategies.push_back(dsps::make_strategy(
-            topo_.streams[static_cast<size_t>(sid)]));
-      }
-      dsps::TaskContext ctx{t->id,        t->op,    t->instance,
-                            spec.parallelism, t->worker, t->node};
-      if (spec.is_spout) {
-        t->spout = spec.spout_factory();
-        t->spout->prepare(ctx);
-        t->spout->register_state(t->store);
-        t->spout_rng.reseed(cfg_.seed +
-                            0x9E3779B97F4A7C15ULL * (spout_index + 1));
-        t->next_root = 1 + spout_index;
-        t->root_stride = total_spouts;
-        ++spout_index;
-      } else {
-        t->bolt = spec.bolt_factory();
-        t->bolt->prepare(ctx);
-        t->bolt->register_state(t->store);
-      }
-      // Routing state joins the executor's checkpoint: a crash-rollback
-      // must rewind shuffle cursors / PKG tallies along with operator
-      // state, or replayed tuples take different routes than the
-      // originals. Cells use the reserved "__route." prefix — recovery
-      // restores them even for spouts (whose operator cells stay live).
-      for (size_t oi = 0; oi < spec.out_streams.size(); ++oi) {
-        dsps::PartitioningStrategy* strat = t->strategies[oi].get();
-        if (!strat->stateful()) continue;
-        t->store.register_cell(
-            std::string(dsps::kRoutingCellPrefix) + "s" +
-                std::to_string(spec.out_streams[oi]),
-            [strat](ByteWriter& w) { strat->save(w); },
-            [strat](ByteReader& r) { strat->restore(r); });
-      }
-      // Alignment channel count: one per (in-stream, upstream task) pair.
-      // Spouts align trivially (the injected barrier is their only input).
-      t->expected_barriers = spec.is_spout ? 1 : 0;
-      for (int sid : spec.in_streams) {
-        t->expected_barriers +=
-            topo_.ops[static_cast<size_t>(
-                          topo_.streams[static_cast<size_t>(sid)].from_op)]
-                .parallelism;
-      }
-      TaskRt* raw = t.get();
-      t->in_queue->set_on_item([this, raw] { pump_task(*raw); });
-      op_tasks_[op].push_back(t->id);
-      workers_[static_cast<size_t>(t->worker)]
-          ->op_local_tasks[op]
-          .push_back(t->id);
-      tasks_.push_back(std::move(t));
+      // Storm-style round-robin placement.
+      TaskRt& t = add_task(static_cast<int>(op), i, i % num_workers);
+      if (!spec.is_spout) continue;
+      t.spout_rng.reseed(cfg_.seed + 0x9E3779B97F4A7C15ULL * (spout_index + 1));
+      t.next_root = 1 + spout_index;
+      t.root_stride = total_spouts;
+      ++spout_index;
     }
   }
+  count_expected_barriers();
+}
 
-  // Load probes for load-aware strategies (po2c): the destination
-  // executor's in-queue depth — the same signal the obs layer's queue
-  // gauges export. Installed in a second pass because a stream's
-  // destination tasks may be built after its producer.
-  for (auto& tp : tasks_) {
-    const auto& spec = topo_.ops[static_cast<size_t>(tp->op)];
-    for (size_t oi = 0; oi < spec.out_streams.size(); ++oi) {
-      if (!tp->strategies[oi]->load_aware()) continue;
+Engine::TaskRt& Engine::add_task(int op, int instance, int worker) {
+  const auto& spec = topo_.ops[static_cast<size_t>(op)];
+  auto t = std::make_unique<TaskRt>();
+  TaskRt* raw = t.get();
+  t->id = static_cast<int>(tasks_.size());
+  t->op = op;
+  t->instance = instance;
+  t->worker = worker;
+  t->node = workers_[static_cast<size_t>(worker)]->node;
+  t->cpu = std::make_unique<sim::CpuServer>(
+      node_sim(t->node), spec.name + "[" + std::to_string(instance) + "]",
+      core_pool(t->node));
+  t->in_queue = std::make_unique<sim::BoundedQueue<Delivery>>(
+      cfg_.executor_queue_capacity);
+  t->in_queue->set_on_item([this, raw] { pump_task(*raw); });
+  t->strategies.reserve(spec.out_streams.size());
+  for (int sid : spec.out_streams) {
+    t->strategies.push_back(
+        dsps::make_strategy(topo_.streams[static_cast<size_t>(sid)]));
+  }
+  dsps::TaskContext ctx{t->id,           op,        instance,
+                        spec.parallelism, t->worker, t->node};
+  if (spec.is_spout) {
+    t->spout = spec.spout_factory();
+    t->spout->prepare(ctx);
+    t->spout->register_state(t->store);
+  } else {
+    t->bolt = spec.bolt_factory();
+    t->bolt->prepare(ctx);
+    t->bolt->register_state(t->store);
+  }
+  for (size_t oi = 0; oi < spec.out_streams.size(); ++oi) {
+    dsps::PartitioningStrategy* strat = t->strategies[oi].get();
+    // Routing state joins the executor's checkpoint: a crash-rollback
+    // must rewind shuffle cursors / PKG tallies along with operator
+    // state, or replayed tuples take different routes than the
+    // originals. Cells use the reserved "__route." prefix — recovery
+    // restores them even for spouts (whose operator cells stay live).
+    if (strat->stateful()) {
+      t->store.register_cell(
+          std::string(dsps::kRoutingCellPrefix) + "s" +
+              std::to_string(spec.out_streams[oi]),
+          [strat](ByteWriter& w) { strat->save(w); },
+          [strat](ByteReader& r) { strat->restore(r); });
+    }
+    // Load probes for load-aware strategies (po2c): the destination
+    // executor's in-queue depth — the same signal the obs layer's queue
+    // gauges export. The destination is looked up per call, so it may be
+    // built after this task or spawned by a rescale.
+    if (strat->load_aware()) {
       const int to_op =
           topo_.streams[static_cast<size_t>(spec.out_streams[oi])].to_op;
-      tp->strategies[oi]->set_load_probe([this, to_op](size_t i) {
+      strat->set_load_probe([this, to_op](size_t i) {
         const int dst = op_tasks_[static_cast<size_t>(to_op)][i];
         return static_cast<double>(
             tasks_[static_cast<size_t>(dst)]->in_queue->size());
       });
     }
+  }
+  op_tasks_[static_cast<size_t>(op)].push_back(t->id);
+  workers_[static_cast<size_t>(worker)]
+      ->op_local_tasks[static_cast<size_t>(op)]
+      .push_back(t->id);
+  tasks_.push_back(std::move(t));
+  return *raw;
+}
+
+void Engine::count_expected_barriers() {
+  // op_tasks_ holds exactly the live instances (a rescale prunes retired
+  // ones), so this serves build time and every rescale alike.
+  for (auto& tp : tasks_) {
+    if (!tp->active) continue;
+    const auto& spec = topo_.ops[static_cast<size_t>(tp->op)];
+    int expected = spec.is_spout ? 1 : 0;
+    for (int sid : spec.in_streams) {
+      expected += static_cast<int>(
+          op_tasks_[static_cast<size_t>(
+                        topo_.streams[static_cast<size_t>(sid)].from_op)]
+              .size());
+    }
+    tp->expected_barriers = expected;
   }
 }
 
@@ -608,36 +620,38 @@ void Engine::build_mcast_groups() {
     g->total_dst_instances =
         op_tasks_[static_cast<size_t>(s.to_op)].size();
 
+    // Endpoints behind the source: every worker hosting destination
+    // instances, or for RDMC the destination task instances themselves.
+    std::vector<int> ids;
     if (worker_level) {
-      // Endpoints: every worker hosting destination instances, source
-      // worker first (tree node 0).
-      g->endpoint_index.assign(workers_.size(), -1);
-      g->endpoints.push_back(g->src_worker);
-      g->endpoint_index[static_cast<size_t>(g->src_worker)] = 0;
       for (const auto& w : workers_) {
         if (w->id == g->src_worker) continue;
         if (!w->op_local_tasks[static_cast<size_t>(s.to_op)].empty()) {
-          g->endpoint_index[static_cast<size_t>(w->id)] =
-              static_cast<int>(g->endpoints.size());
-          g->endpoints.push_back(w->id);
+          ids.push_back(w->id);
         }
       }
     } else {
-      // RDMC: endpoints are the destination task instances themselves.
-      g->endpoint_index.assign(tasks_.size(), -1);
-      g->endpoints.push_back(g->src_task);
-      g->endpoint_index[static_cast<size_t>(g->src_task)] = 0;
-      for (int t : op_tasks_[static_cast<size_t>(s.to_op)]) {
-        g->endpoint_index[static_cast<size_t>(t)] =
-            static_cast<int>(g->endpoints.size());
-        g->endpoints.push_back(t);
-      }
+      ids = op_tasks_[static_cast<size_t>(s.to_op)];
     }
+    assign_endpoints(*g, ids);
 
     build_group_tree(*g, /*dstar=*/0);
     if (primary_src_task_ < 0) primary_src_task_ = g->src_task;
     stream_to_group_[s.id] = g->id;
     groups_.push_back(std::move(g));
+  }
+}
+
+void Engine::assign_endpoints(McastGroup& g, const std::vector<int>& ids) {
+  const int src = g.worker_level ? g.src_worker : g.src_task;
+  g.endpoints.assign(1, src);
+  g.endpoint_index.assign(g.worker_level ? workers_.size() : tasks_.size(),
+                          -1);
+  g.endpoint_index[static_cast<size_t>(src)] = 0;
+  for (int id : ids) {
+    g.endpoint_index[static_cast<size_t>(id)] =
+        static_cast<int>(g.endpoints.size());
+    g.endpoints.push_back(id);
   }
 }
 
@@ -833,19 +847,14 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
   // metrics loop above: disabled checkpointing schedules ZERO events.
   if (state_on()) {
     checkpoints_.reset(static_cast<int>(tasks_.size()));
-    for (auto& tp : tasks_) tp->epoch0_image = tp->store.snapshot();
-    if (remote_state_on()) {
-      // Register each task's memory region and seed the host image from
-      // epoch 0; the local baselines start at the same image, so the first
-      // incremental delta diffs against exactly what the host holds.
-      for (auto& tp : tasks_) {
-        remote_state_->bind_task(
-            tp->id, tp->node,
-            std::span<const uint8_t>(tp->epoch0_image.data(),
-                                     tp->epoch0_image.size()));
-        tp->store.rebase(std::span<const uint8_t>(tp->epoch0_image.data(),
-                                                  tp->epoch0_image.size()));
-      }
+    // Bind every task to the checkpoint store with its epoch-0 image (the
+    // remote medium seeds the host image from it); the delta baselines
+    // start at the same image, so the first incremental delta diffs
+    // against exactly what the host holds.
+    for (auto& tp : tasks_) {
+      tp->epoch0_image = tp->store.snapshot();
+      ckpt_store_->bind_task(tp->id, tp->node, tp->epoch0_image);
+      tp->store.rebase(tp->epoch0_image);
     }
     loop_async([this](auto next) {
       cur_sim().schedule_after(cfg_.state.checkpoint_interval, [this, next] {
@@ -883,7 +892,6 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
 
 void Engine::snapshot_at_window_start() {
   stream_instance_snap_ = stream_instance_counts_;
-  for (auto& t : tasks_) t->busy_snapshot = t->cpu->busy_snapshot();
   for (auto& t : tasks_) t->cpu->mark_window();
   snap_bytes_tcp_ = fabric_->total_bytes_sent(net::Transport::kTcp);
   snap_bytes_rdma_ = fabric_->total_bytes_sent(net::Transport::kRdma);
@@ -1034,16 +1042,14 @@ void Engine::finalize_report(Duration measure) {
     report_.channel_tuples_captured = st.channel_tuples_captured;
     report_.channel_bytes = st.channel_bytes_total;
     report_.channel_replays = st.channel_replayed;
-    if (remote_state_on()) {
-      const auto& rs = remote_state_->stats();
-      report_.remote_writes = rs.writes_posted;
-      report_.remote_write_bytes = rs.write_bytes;
-      report_.remote_reads = rs.reads_posted;
-      report_.remote_read_bytes = rs.read_bytes;
-      report_.mr_regions = rs.regions;
-      report_.mr_region_bytes = rs.region_bytes;
-      report_.mr_region_grows = rs.region_grows;
-    }
+    const auto& rs = ckpt_store_->stats();  // all 0 on the local store
+    report_.remote_writes = rs.writes_posted;
+    report_.remote_write_bytes = rs.write_bytes;
+    report_.remote_reads = rs.reads_posted;
+    report_.remote_read_bytes = rs.read_bytes;
+    report_.mr_regions = rs.regions;
+    report_.mr_region_bytes = rs.region_bytes;
+    report_.mr_region_grows = rs.region_grows;
   }
 
   if (elastic_on()) {
@@ -1529,7 +1535,7 @@ void Engine::send_point_to_point(TaskRt& t,
       if (tracked) {
         comm_tracks_[tup->root_id] =
             CommTrack{cur_sim().now(), cur_sim().now(), 0.0,
-                      static_cast<uint32_t>(remote.size()), true};
+                      static_cast<uint32_t>(remote.size())};
       }
     }
     const uint64_t track_root = tracked ? tup->root_id : 0;
@@ -1711,7 +1717,7 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
     auto lk = shared_guard();
     if (comm_tracks_.size() < kMaxTrackedTuples) {
       comm_tracks_[root] = CommTrack{cur_sim().now(), cur_sim().now(),
-                                     static_cast<double>(ser), 0, false};
+                                     static_cast<double>(ser), 0};
     }
   }
 
@@ -1816,7 +1822,7 @@ void Engine::push_out(WorkerRt& w, OutMsg msg, InlineFunction done) {
       // Lost barriers are not data losses; the epoch aborts instead.
       if (!m.barrier) {
         ++tuples_lost_;
-        if (c_lost_ && !m.control) c_lost_->inc();
+        if (c_lost_) c_lost_->inc();
       }
       done();
       return;
@@ -1881,7 +1887,7 @@ void Engine::transmit_out(WorkerRt& w, OutMsg msg) {
     // A dropped barrier is not a data loss — its epoch aborts instead.
     if (!msg.barrier) {
       ++tuples_lost_;
-      if (c_lost_ && !msg.control) c_lost_->inc();
+      if (c_lost_) c_lost_->inc();
     }
     resume();
     return;
@@ -1900,7 +1906,7 @@ void Engine::transmit_out(WorkerRt& w, OutMsg msg) {
       // to the kernel/NIC. Receive-side protocol runs on the recv thread.
       w.send_cpu->execute(
           cfg_.cost.local_enqueue, sim::CpuCategory::kDispatch,
-          [this, wr, dst_worker, sz, ctrl = msg.control, bar = msg.barrier,
+          [this, wr, dst_worker, sz, bar = msg.barrier,
            pkt = std::move(pkt), resume]() mutable {
             auto& dw = *workers_[static_cast<size_t>(dst_worker)];
             WorkerRt* draw = &dw;
@@ -1918,7 +1924,7 @@ void Engine::transmit_out(WorkerRt& w, OutMsg msg) {
             // vanished without a delivery callback. tuples_lost_ is NOT
             // bumped here to keep legacy reports unchanged; the obs layer
             // accounts for it so conservation still balances.
-            if (!sent && c_lost_ && !ctrl && !bar) c_lost_->inc();
+            if (!sent && c_lost_ && !bar) c_lost_->inc();
             resume();
           });
       break;
@@ -2413,6 +2419,18 @@ void Engine::reset_qps_touching(int node) {
   }
 }
 
+uint64_t Engine::drain_task(TaskRt& t) {
+  uint64_t dropped = 0;
+  while (auto d = t.in_queue->try_pop()) {
+    if (!state::is_barrier(*d->tuple)) ++dropped;
+  }
+  for (const auto& d : t.align_buf) {
+    if (!state::is_barrier(*d.tuple)) ++dropped;
+  }
+  t.align_buf.clear();
+  return dropped;
+}
+
 void Engine::on_node_crash(int node) {
   auto& w = *workers_[static_cast<size_t>(node)];
   if (w.down) return;
@@ -2429,23 +2447,14 @@ void Engine::on_node_crash(int node) {
   while (auto m = w.transfer_queue->try_pop()) {
     if (m->barrier) continue;  // barrier losses abort the epoch, not data
     ++tuples_lost_;
-    if (c_lost_ && !m->control) c_lost_->inc();
+    if (c_lost_) c_lost_->inc();
   }
   for (auto& t : tasks_) {
     if (t->worker != node) continue;
-    while (auto d = t->in_queue->try_pop()) {
-      if (state_on() && state::is_barrier(*d->tuple)) continue;
-      ++tuples_lost_;
-      if (c_lost_) c_lost_->inc();
-    }
-    // Alignment state died with the process; stashed deliveries are lost
-    // like everything else queued inside it.
-    for (const auto& d : t->align_buf) {
-      if (state::is_barrier(*d.tuple)) continue;
-      ++tuples_lost_;
-      if (c_lost_) c_lost_->inc();
-    }
-    t->align_buf.clear();
+    // Queued and alignment-stashed deliveries died with the process.
+    const uint64_t lost = drain_task(*t);
+    tuples_lost_ += lost;
+    if (c_lost_) c_lost_->inc(lost);
     t->aligning = false;
     t->barriers_from.clear();
     t->processing = false;
@@ -2526,32 +2535,20 @@ void Engine::on_node_restart(int node) {
   // restore still in flight.
   if (state_on() && cfg_.state.recover_from_checkpoint) {
     const uint64_t gen = ++recovery_gen_;
-    if (remote_state_on()) {
-      // One-sided READ of the committed images off the state host; the
-      // restarted node's receive CPU posts it, the host CPU stays idle.
-      if (trace_on()) {
-        tracer_.instant("state.restore.read", "fault", node,
-                        obs::kLaneControl, cur_sim().now(), 0, "bytes",
-                        static_cast<double>(
-                            remote_state_->committed_bytes_total()));
-      }
-      remote_state_->read_images(w.recv_cpu.get(), node, [this, gen] {
-        if (gen == recovery_gen_) do_recover();
-      });
-    } else {
-      const Duration restore = state::store_transfer_time(
-          checkpoints_.committed_bytes_total(), cfg_.state.store_read_gbps,
-          cfg_.state.store_read_latency);
-      if (trace_on()) {
-        tracer_.complete("state.restore", "fault", node, obs::kLaneControl,
-                         cur_sim().now(), restore, 0, "bytes",
-                         static_cast<double>(
-                             checkpoints_.committed_bytes_total()));
-      }
-      cur_sim().schedule_after(restore, [this, gen] {
-        if (gen == recovery_gen_) do_recover();
-      });
-    }
+    const Time start = cur_sim().now();
+    const double bytes =
+        static_cast<double>(ckpt_store_->committed_bytes_total());
+    // The restarted node's receive CPU posts the read (on the remote
+    // medium a one-sided READ: the state host's CPU stays idle).
+    ckpt_store_->read_images(
+        w.recv_cpu.get(), node, [this, gen, node, start, bytes] {
+          if (trace_on()) {
+            tracer_.complete("state.restore", "fault", node,
+                             obs::kLaneControl, start,
+                             cur_sim().now() - start, 0, "bytes", bytes);
+          }
+          if (gen == recovery_gen_) do_recover();
+        });
   }
   pump_worker(w);
 }
@@ -2792,10 +2789,8 @@ void Engine::abort_epoch() {
       maybe_start_repair(*gp);
     }
   }
-  if (remote_state_on()) {
-    remote_state_->abort(epoch);
-    for (auto& tp : tasks_) tp->store.drop_pending_baseline();
-  }
+  ckpt_store_->abort(epoch);
+  for (auto& tp : tasks_) tp->store.drop_pending_baseline();
   // A rescale riding this epoch dies with it: release the quiesced tasks
   // (the pumps below restart them) and put the controller back in steady
   // state. The plan is NOT retried verbatim — if the backlog persists, the
@@ -2812,7 +2807,7 @@ void Engine::abort_epoch() {
       // An unaligned capture never stalled anything; just discard it.
       t.capturing = false;
       t.barriers_from.clear();
-      t.pending_snap = SnapBlob{};
+      t.pending_snap = {};
       t.captured.clear();
       t.captured_bytes = 0;
     }
@@ -2868,42 +2863,16 @@ void Engine::handle_barrier(TaskRt& t, Delivery d) {
   pump_task(t);  // other channels keep flowing while we align
 }
 
-Engine::SnapBlob Engine::take_snapshot(TaskRt& t) {
-  SnapBlob s;
-  if (remote_state_on()) {
-    state::StateStore::DeltaStats ds;
-    s.blob = t.store.snapshot_delta(cfg_.state.delta_page_bytes,
-                                    /*force_full=*/!cfg_.state.incremental, &ds);
-    s.shipped = ds.shipped_bytes;
-    s.full = ds.full_bytes;
-    s.dirty = ds.dirty_cells;
-    s.clean = ds.clean_cells;
-  } else {
-    s.blob = t.store.snapshot();
-    s.shipped = s.full = s.blob.size();
-  }
-  return s;
-}
-
-void Engine::schedule_snapshot_write(TaskRt& t, uint64_t epoch, SnapBlob snap,
+void Engine::schedule_snapshot_write(TaskRt& t, uint64_t epoch,
+                                     state::CheckpointStore::Snapshot snap,
                                      uint64_t channel_bytes) {
   const int task = t.id;
-  if (remote_state_on()) {
-    // One-sided WRITE into the task's registered region on the state host:
-    // the initiator pays the post, the host CPU is never scheduled.
-    remote_state_->write_snapshot(
-        task, epoch, t.cpu.get(), std::move(snap.blob), channel_bytes,
-        [this, task, epoch] {
-          if (checkpoints_.write_complete(task, epoch)) commit_epoch();
-        });
-    return;
-  }
-  const Duration wr = state::store_transfer_time(
-      snap.shipped + channel_bytes, cfg_.state.store_write_gbps,
-      cfg_.state.store_write_latency);
-  cur_sim().schedule_after(wr, [this, task, epoch] {
-    if (checkpoints_.write_complete(task, epoch)) commit_epoch();
-  });
+  ckpt_store_->write(task, epoch, t.cpu.get(), std::move(snap), channel_bytes,
+                     [this, task, epoch] {
+                       if (checkpoints_.write_complete(task, epoch)) {
+                         commit_epoch();
+                       }
+                     });
 }
 
 void Engine::complete_alignment(TaskRt& t, uint64_t epoch) {
@@ -2913,16 +2882,9 @@ void Engine::complete_alignment(TaskRt& t, uint64_t epoch) {
     t.barriers_from.clear();
   }
   t.epoch = epoch;
-  SnapBlob snap = take_snapshot(t);
-  // The remote path keeps the blob (it still has to ship); the local path
-  // hands it to the coordinator and only the byte counts survive.
-  const bool staged =
-      remote_state_on()
-          ? checkpoints_.stage_external(t.id, epoch, snap.shipped, snap.full,
-                                        snap.dirty, snap.clean)
-          : checkpoints_.stage_snapshot(t.id, epoch, std::move(snap.blob));
-  if (!staged) {
-    if (remote_state_on()) t.store.drop_pending_baseline();
+  auto snap = ckpt_store_->take(t.store);
+  if (!checkpoints_.stage(t.id, epoch, snap.stats)) {
+    t.store.drop_pending_baseline();
     t.processing = false;  // epoch died while we were aligning
     pump_task(t);
     return;
@@ -2931,10 +2893,10 @@ void Engine::complete_alignment(TaskRt& t, uint64_t epoch) {
   if (!t.spout && op.out_streams.empty()) checkpoints_.sink_seal(t.id);
   // Serialization is the only synchronous cost the executor pays; the
   // barrier is forwarded BEFORE the stash drains (downstream FIFO order),
-  // and the persistent-store write proceeds off the critical path. The
+  // and the checkpoint-store write proceeds off the critical path. The
   // serializer walks every cell even when only a delta ships, so the CPU
   // charge follows the FULL image size.
-  const Duration ser = cfg_.cost.ser_time(snap.full);
+  const Duration ser = cfg_.cost.ser_time(snap.stats.full_bytes);
   TaskRt* traw = &t;
   t.cpu->execute(
       ser, sim::CpuCategory::kSerialization,
@@ -2975,10 +2937,10 @@ void Engine::handle_barrier_unaligned(TaskRt& t, Delivery d, uint64_t epoch) {
     t.barriers_from.insert(chan);
     t.captured.clear();
     t.captured_bytes = 0;
-    t.pending_snap = take_snapshot(t);
+    t.pending_snap = ckpt_store_->take(t.store);
     const auto& op = topo_.ops[static_cast<size_t>(t.op)];
     if (op.out_streams.empty()) checkpoints_.sink_seal(t.id);
-    const Duration ser = cfg_.cost.ser_time(t.pending_snap.full);
+    const Duration ser = cfg_.cost.ser_time(t.pending_snap.stats.full_bytes);
     TaskRt* traw = &t;
     t.cpu->execute(ser, sim::CpuCategory::kSerialization, [this, traw, epoch] {
       forward_barrier(*traw, epoch, [this, traw] {
@@ -3001,20 +2963,15 @@ void Engine::finalize_capture(TaskRt& t, uint64_t epoch) {
   t.capturing = false;
   t.barriers_from.clear();
   t.epoch = epoch;
-  SnapBlob snap = std::move(t.pending_snap);
-  t.pending_snap = SnapBlob{};
+  auto snap = std::move(t.pending_snap);
+  t.pending_snap = {};
   std::vector<dsps::Tuple> captured = std::move(t.captured);
   const uint64_t channel_bytes = t.captured_bytes;
   t.captured.clear();
   t.captured_bytes = 0;
-  const bool staged =
-      remote_state_on()
-          ? checkpoints_.stage_external(t.id, epoch, snap.shipped, snap.full,
-                                        snap.dirty, snap.clean)
-          : checkpoints_.stage_snapshot(t.id, epoch, std::move(snap.blob));
-  if (!staged) {
+  if (!checkpoints_.stage(t.id, epoch, snap.stats)) {
     // Epoch died between the first and last barrier.
-    if (remote_state_on()) t.store.drop_pending_baseline();
+    t.store.drop_pending_baseline();
     t.processing = false;
     pump_task(t);
     return;
@@ -3069,13 +3026,11 @@ void Engine::forward_barrier(TaskRt& t, uint64_t epoch,
 
 void Engine::commit_epoch() {
   const uint64_t epoch = checkpoints_.current_epoch();
-  if (remote_state_on()) {
-    // Merge the staged deltas into the host images, then promote the
-    // local baselines to match — the next delta diffs against exactly
-    // what the host now holds.
-    remote_state_->commit(epoch);
-    for (auto& tp : tasks_) tp->store.commit_baseline();
-  }
+  // Merge the staged deltas into the committed images, then promote the
+  // local baselines to match — the next delta diffs against exactly what
+  // the store now holds.
+  ckpt_store_->commit(epoch);
+  for (auto& tp : tasks_) tp->store.commit_baseline();
   checkpoints_.commit(cur_sim().now());
   const auto& st = checkpoints_.stats();
   if (c_epochs_) {
@@ -3119,22 +3074,14 @@ void Engine::do_recover() {
     t.aligning = false;
     t.barriers_from.clear();
     t.capturing = false;
-    t.pending_snap = SnapBlob{};
+    t.pending_snap = {};
     t.captured.clear();
     t.captured_bytes = 0;
     // Roll back: everything queued past the committed epoch is superseded
     // by the log replay below (counted lost like any discarded instance).
-    for (const auto& d : t.align_buf) {
-      if (state::is_barrier(*d.tuple)) continue;
-      ++tuples_lost_;
-      if (c_lost_) c_lost_->inc();
-    }
-    t.align_buf.clear();
-    while (auto d = t.in_queue->try_pop()) {
-      if (state::is_barrier(*d->tuple)) continue;
-      ++tuples_lost_;
-      if (c_lost_) c_lost_->inc();
-    }
+    const uint64_t lost = drain_task(t);
+    tuples_lost_ += lost;
+    if (c_lost_) c_lost_->inc(lost);
     t.epoch = committed;
     // Spout stores are source-reader state: the live value already covers
     // every logged emission, and the log replay below re-delivers the
@@ -3144,10 +3091,9 @@ void Engine::do_recover() {
     // ROUTING cells are the exception: shuffle cursors (and friends) must
     // rewind to the committed epoch, or the replayed emissions take
     // different routes than their originals did.
-    // Committed image source: the host-resident image (one-sided READ
-    // already paid by on_node_restart) or the coordinator's local copy.
-    const auto& img = remote_state_on() ? remote_state_->committed_image(t.id)
-                                        : checkpoints_.committed_image(t.id);
+    // The committed image (its read already paid by on_node_restart);
+    // empty until the task's first commit on the local store.
+    const auto& img = ckpt_store_->committed_image(t.id);
     if (t.spout) {
       if (t.store.has_cell_matching(dsps::is_routing_cell)) {
         t.store.restore_if(img.empty() ? t.epoch0_image : img,
@@ -3159,13 +3105,10 @@ void Engine::do_recover() {
       // Nothing committed yet: back to the operator's initial state.
       t.store.restore(t.epoch0_image);
     }
-    // Rebase the delta baselines onto the image the host holds: the next
+    // Rebase the delta baselines onto the image the store holds: the next
     // incremental snapshot diffs against the post-recovery committed
     // state, not against pre-crash garbage.
-    if (remote_state_on()) {
-      const auto& base = img.empty() ? t.epoch0_image : img;
-      t.store.rebase(std::span<const uint8_t>(base.data(), base.size()));
-    }
+    t.store.rebase(img.empty() ? t.epoch0_image : img);
   }
   if (trace_on()) {
     tracer_.instant("state.recovered", "state",

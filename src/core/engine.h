@@ -43,7 +43,7 @@
 #include "sim/queue.h"
 #include "sim/simulation.h"
 #include "state/checkpoint.h"
-#include "state/remote_store.h"
+#include "state/checkpoint_store.h"
 #include "state/state_store.h"
 
 namespace whale::core {
@@ -142,7 +142,6 @@ class Engine {
     int dst_worker = 0;
     Time enqueued = 0;
     uint64_t root_id = 0;  // 0 = untracked
-    bool control = false;
     // Checkpointing metadata (simulation-side; not wire bytes). src_task
     // identifies the producing executor — barrier alignment is per input
     // channel (stream, upstream task). Barriers are never counted as data
@@ -174,16 +173,6 @@ class Engine {
     bool from_channel_state = false;
   };
 
-  // A snapshot staged for one epoch: the blob to ship (full image, or a
-  // page delta when the remote backend runs incrementally) plus the byte
-  // accounting the coordinator records.
-  struct SnapBlob {
-    std::vector<uint8_t> blob;
-    uint64_t shipped = 0;  // bytes that go to the store / over the wire
-    uint64_t full = 0;     // bytes a full snapshot would have been
-    uint32_t dirty = 0, clean = 0;  // cell-level delta census
-  };
-
   struct TaskRt {
     int id = 0, op = 0, instance = 0, worker = 0, node = 0;
     std::unique_ptr<sim::CpuServer> cpu;
@@ -204,7 +193,6 @@ class Engine {
     // "__route.*" cells in `store`, so routing state checkpoints and rolls
     // back with everything else.
     std::vector<std::unique_ptr<dsps::PartitioningStrategy>> strategies;
-    Duration busy_snapshot = 0;
 
     // Per-spout-instance arrival state (DESIGN.md §13): each spout instance
     // draws its arrival gaps and tuple content from its own deterministically
@@ -233,7 +221,7 @@ class Engine {
     // recorded as channel state AND processed live; recovery re-applies
     // them after restoring the snapshot.
     bool capturing = false;
-    SnapBlob pending_snap;
+    state::CheckpointStore::Snapshot pending_snap;
     std::vector<dsps::Tuple> captured;
     uint64_t captured_bytes = 0;
     // Pristine snapshot taken at run start; recovery target while no
@@ -326,12 +314,27 @@ class Engine {
     Time last = 0;
     double ser_ns = 0;
     uint32_t outstanding = 0;
-    bool all_posted = false;
   };
 
   // --- construction ------------------------------------------------------
   void build_runtime();
+  // Builds one executor of `op` on `worker` and registers it in tasks_,
+  // op_tasks_ and the worker's op_local_tasks: CPU server, in-queue with
+  // its pump hook, one routing strategy per out-stream (stateful ones as
+  // "__route.*" state cells, load-aware ones with their probe), then the
+  // operator's prepare() and register_state(). Used at build time and by
+  // elastic spawns.
+  TaskRt& add_task(int op, int instance, int worker);
+  // Node's core pool under cfg_.model_core_contention, else null.
+  sim::CorePool* core_pool(int node) const;
+  // Re-derives every active task's expected_barriers: one alignment
+  // channel per (in-stream, live upstream task) pair; spouts align on the
+  // injected barrier alone.
+  void count_expected_barriers();
   void build_mcast_groups();
+  // Makes g's source endpoint 0 and `ids` (worker or task ids, in tree
+  // order) endpoints 1.., rebuilding the reverse index.
+  void assign_endpoints(McastGroup& g, const std::vector<int>& ids);
   // Builds g's tree over its current endpoints and, for a self-adjusting
   // non-blocking tree, a fresh d* controller (the replaced controller's
   // switch counts carry over). The tree starts at out-degree `dstar`, or
@@ -414,6 +417,9 @@ class Engine {
   // --- fault injection & recovery -------------------------------------------
   void arm_faults();
   void reset_qps_touching(int node);
+  // Empties t's in-queue and alignment stash; returns the data tuples
+  // dropped (barriers are not counted).
+  uint64_t drain_task(TaskRt& t);
   void on_node_crash(int node);
   void on_node_restart(int node);
   void on_endpoint_crash(McastGroup& g, int dead_ep);
@@ -424,9 +430,6 @@ class Engine {
 
   // --- checkpointing (src/state) --------------------------------------------
   bool state_on() const { return cfg_.state.enabled; }
-  // Remote backend exists iff state is on AND cfg_.state.remote (the ctor
-  // sized the fabric with the extra state-host node in that case).
-  bool remote_state_on() const { return state_on() && remote_state_ != nullptr; }
   bool unaligned_on() const { return state_on() && cfg_.state.unaligned; }
   static uint64_t chan_key(uint32_t stream, int src_task) {
     return (static_cast<uint64_t>(stream) << 32) |
@@ -441,16 +444,14 @@ class Engine {
   void handle_barrier(TaskRt& t, Delivery d);
   void handle_barrier_unaligned(TaskRt& t, Delivery d, uint64_t epoch);
   void complete_alignment(TaskRt& t, uint64_t epoch);
-  // Takes t's snapshot: full image (local store) or page delta against the
-  // host-resident baseline (remote backend).
-  SnapBlob take_snapshot(TaskRt& t);
   // Last barrier of an unaligned epoch: stage the first-barrier snapshot
   // plus the captured channel tuples, then ship the write.
   void finalize_capture(TaskRt& t, uint64_t epoch);
-  // Ships a staged snapshot to the persistent store (local path) or the
-  // state host (one-sided WRITE); drives write_complete -> commit_epoch.
-  // `channel_bytes` rides the same write (in-flight channel state).
-  void schedule_snapshot_write(TaskRt& t, uint64_t epoch, SnapBlob snap,
+  // Ships t's snapshot to the checkpoint store; drives write_complete ->
+  // commit_epoch. `channel_bytes` rides the same write (in-flight channel
+  // state).
+  void schedule_snapshot_write(TaskRt& t, uint64_t epoch,
+                               state::CheckpointStore::Snapshot snap,
                                uint64_t channel_bytes);
   // Emits `epoch`'s barrier on every out-stream of t (its own frames, never
   // batched with data); `done` fires once every copy is queued.
@@ -485,9 +486,6 @@ class Engine {
   void cancel_rescale();
   // Picks the host node for a freshly spawned instance of `op`.
   int place_instance(int op) const;
-  // Re-derives expected_barriers for every task whose input channel count
-  // changed (op's own tasks and all tasks downstream of op).
-  void recompute_expected_barriers();
   // Rebuilds one mcast group's endpoint set / tree / controller after its
   // destination operator rescaled. Shrinks route through tree.repair();
   // grows rebuild the tree with rack-contiguous endpoint order.
@@ -592,9 +590,9 @@ class Engine {
   // Checkpointing runtime. recovery_gen_ invalidates in-flight restore /
   // replay continuations when a newer recovery supersedes them.
   state::CheckpointCoordinator checkpoints_;
-  // RDMA-resident state backend (cfg_.state.remote): snapshot WRITEs and
-  // recovery READs against the state-host node appended to the fabric.
-  std::unique_ptr<state::RemoteStateBackend> remote_state_;
+  // Every task's snapshot images, on the local store or (cfg_.state.remote)
+  // the state-host node appended to the fabric. Exists iff state_on().
+  std::unique_ptr<state::CheckpointStore> ckpt_store_;
   uint64_t recovery_gen_ = 0;
   Time epoch_inject_time_ = 0;
 

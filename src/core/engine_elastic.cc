@@ -40,7 +40,7 @@ namespace whale::core {
 
 void Engine::elastic_setup() {
   // The migration protocol is built on epoch barriers and the checkpoint
-  // coordinator's committed images; these are hard requirements, and a
+  // store's committed images; these are hard requirements, and a
   // config that silently ran without them would look elastic while never
   // preserving exactly-once across a rescale.
   if (!state_on()) {
@@ -56,7 +56,7 @@ void Engine::elastic_setup() {
   }
   if (cfg_.state.remote) {
     throw std::invalid_argument(
-        "elastic rescaling requires the local state backend "
+        "elastic rescaling requires the local checkpoint store "
         "(cfg.state.remote off): migration merges the live local stores, "
         "which would diverge from host-resident incremental images");
   }
@@ -187,23 +187,6 @@ int Engine::place_instance(int op) const {
   return elastic::Placement(cfg_.cluster).pick(peers, load);
 }
 
-void Engine::recompute_expected_barriers() {
-  // op_tasks_ holds exactly the active instances after a rescale, so the
-  // per-channel count is re-derived the same way build_runtime derived it.
-  for (auto& tp : tasks_) {
-    if (!tp->active) continue;
-    const auto& spec = topo_.ops[static_cast<size_t>(tp->op)];
-    int expected = spec.is_spout ? 1 : 0;
-    for (int sid : spec.in_streams) {
-      expected += static_cast<int>(
-          op_tasks_[static_cast<size_t>(
-                        topo_.streams[static_cast<size_t>(sid)].from_op)]
-              .size());
-    }
-    tp->expected_barriers = expected;
-  }
-}
-
 void Engine::execute_rescale(uint64_t epoch) {
   const elastic::RescalePlan plan = *pending_plan_;
   const int opi = plan.op;
@@ -215,12 +198,12 @@ void Engine::execute_rescale(uint64_t epoch) {
   // --- 1. merge + re-split keyed state --------------------------------------
   // Every old instance is quiesced with this epoch's snapshot committed,
   // so its live store equals its committed image; reading the live store
-  // avoids re-parsing coordinator blobs. keyed_names preserves first-seen
+  // avoids re-parsing stored images. keyed_names preserves first-seen
   // registration order so rebuilt snapshots stay byte-stable.
   std::vector<std::string> keyed_names;
   std::unordered_map<std::string, std::vector<std::vector<uint8_t>>> bodies;
   for (int tid : op_tasks_[static_cast<size_t>(opi)]) {
-    auto cells = elastic::parse_snapshot(
+    auto cells = state::parse_snapshot(
         tasks_[static_cast<size_t>(tid)]->store.snapshot());
     for (auto& [name, body] : cells) {
       if (!elastic::is_keyed_cell(name)) continue;
@@ -235,7 +218,11 @@ void Engine::execute_rescale(uint64_t epoch) {
         bodies[name], static_cast<size_t>(new_n), &split_stats);
   }
 
-  // --- 2. retire / spawn instances ------------------------------------------
+  // --- 2. adopt the new parallelism ------------------------------------------
+  // Before any spawn, so fresh instances are prepared with the new shape.
+  topo_.ops[static_cast<size_t>(opi)].parallelism = new_n;
+
+  // --- 3. retire / spawn instances ------------------------------------------
   uint64_t retired = 0, spawned = 0;
   if (new_n < old_n) {
     // Retire the tail instances: op_tasks_ position i <-> instance i, and
@@ -248,30 +235,16 @@ void Engine::execute_rescale(uint64_t epoch) {
       t.processing = false;
       // The quiesce protocol should have emptied these; drain defensively
       // and surface anything present on the proof-obligation counter.
-      while (auto d = t.in_queue->try_pop()) {
-        if (!state::is_barrier(*d->tuple)) {
-          ++report_.elastic.stale_drops;
-          if (c_el_stale_drops_) c_el_stale_drops_->inc();
-        }
-      }
-      for (const auto& d : t.align_buf) {
-        if (!state::is_barrier(*d.tuple)) {
-          ++report_.elastic.stale_drops;
-          if (c_el_stale_drops_) c_el_stale_drops_->inc();
-        }
-      }
-      t.align_buf.clear();
+      const uint64_t stale = drain_task(t);
+      report_.elastic.stale_drops += stale;
+      if (c_el_stale_drops_) c_el_stale_drops_->inc(stale);
       t.aligning = false;
       t.barriers_from.clear();
       checkpoints_.erase_task(tid);
+      ckpt_store_->erase_task(tid);
       ++retired;
     }
   } else if (new_n > old_n) {
-    auto pool_of = [this](int node) -> sim::CorePool* {
-      return cfg_.model_core_contention
-                 ? core_pools_[static_cast<size_t>(node)].get()
-                 : nullptr;
-    };
     const elastic::Placement placement(cfg_.cluster);
     for (int i = old_n; i < new_n; ++i) {
       // Placement sees already-spawned siblings (appended below), so a
@@ -284,65 +257,23 @@ void Engine::execute_rescale(uint64_t epoch) {
       if (!placement.rack_local(node, peers)) {
         ++report_.elastic.cross_rack_placements;
       }
-      auto t = std::make_unique<TaskRt>();
-      t->id = static_cast<int>(tasks_.size());
-      t->op = opi;
-      t->instance = i;
-      t->worker = node;  // one worker process per node
-      t->node = node;
-      t->cpu = std::make_unique<sim::CpuServer>(
-          node_sim(node), spec.name + "[" + std::to_string(i) + "]",
-          pool_of(node));
-      t->in_queue = std::make_unique<sim::BoundedQueue<Delivery>>(
-          cfg_.executor_queue_capacity);
-      t->strategies.reserve(spec.out_streams.size());
-      for (int sid : spec.out_streams) {
-        t->strategies.push_back(
-            dsps::make_strategy(topo_.streams[static_cast<size_t>(sid)]));
-      }
-      dsps::TaskContext ctx{t->id, opi, i, new_n, t->worker, t->node};
-      t->bolt = spec.bolt_factory();
-      t->bolt->prepare(ctx);
-      t->bolt->register_state(t->store);
-      for (size_t oi = 0; oi < spec.out_streams.size(); ++oi) {
-        dsps::PartitioningStrategy* strat = t->strategies[oi].get();
-        if (!strat->stateful()) continue;
-        t->store.register_cell(
-            std::string(dsps::kRoutingCellPrefix) + "s" +
-                std::to_string(spec.out_streams[oi]),
-            [strat](ByteWriter& w) { strat->save(w); },
-            [strat](ByteReader& r) { strat->restore(r); });
-      }
-      for (size_t oi = 0; oi < spec.out_streams.size(); ++oi) {
-        if (!t->strategies[oi]->load_aware()) continue;
-        const int to_op =
-            topo_.streams[static_cast<size_t>(spec.out_streams[oi])].to_op;
-        t->strategies[oi]->set_load_probe([this, to_op](size_t di) {
-          const int dst = op_tasks_[static_cast<size_t>(to_op)][di];
-          return static_cast<double>(
-              tasks_[static_cast<size_t>(dst)]->in_queue->size());
-        });
-      }
+      TaskRt& t = add_task(opi, i, /*worker=*/node);  // one worker per node
       // Stray barrier copies of the rescale epoch (there are none in any
       // tree at commit, but the guard is structural) are stale on arrival.
-      t->epoch = epoch;
-      TaskRt* raw = t.get();
-      t->in_queue->set_on_item([this, raw] { pump_task(*raw); });
+      t.epoch = epoch;
+      // Bound like a build-time task; step 5 then installs its slice.
+      ckpt_store_->bind_task(t.id, t.node, t.store.snapshot());
       if (metrics_on()) {
-        metrics_.gauge("task" + std::to_string(t->id) + ".in_queue", [raw] {
+        TaskRt* raw = &t;
+        metrics_.gauge("task" + std::to_string(t.id) + ".in_queue", [raw] {
           return static_cast<double>(raw->in_queue->size());
         });
       }
-      op_tasks_[static_cast<size_t>(opi)].push_back(t->id);
-      workers_[static_cast<size_t>(t->worker)]
-          ->op_local_tasks[static_cast<size_t>(opi)]
-          .push_back(t->id);
-      tasks_.push_back(std::move(t));
       ++spawned;
     }
   }
 
-  // --- 3. prune the task indexes --------------------------------------------
+  // --- 4. prune the task indexes --------------------------------------------
   auto prune = [this](std::vector<int>& ids) {
     ids.erase(std::remove_if(ids.begin(), ids.end(),
                              [this](int tid) {
@@ -353,30 +284,26 @@ void Engine::execute_rescale(uint64_t epoch) {
   prune(op_tasks_[static_cast<size_t>(opi)]);
   for (auto& wp : workers_) prune(wp->op_local_tasks[static_cast<size_t>(opi)]);
 
-  // --- 4. adopt the new parallelism ------------------------------------------
-  topo_.ops[static_cast<size_t>(opi)].parallelism = new_n;
-
   // --- 5. install the re-split state ------------------------------------------
   // Surviving and fresh instances alike restore their keyed slice, learn
   // the new shape, and have BOTH recovery targets (epoch0 image and the
-  // coordinator's committed image) overwritten — a crash after this
-  // cutover rolls back to exactly the state the rescale installed.
+  // store's committed image) overwritten — a crash after this cutover
+  // rolls back to exactly the state the rescale installed.
   for (size_t i = 0; i < op_tasks_[static_cast<size_t>(opi)].size(); ++i) {
     const int tid = op_tasks_[static_cast<size_t>(opi)][i];
     auto& t = *tasks_[static_cast<size_t>(tid)];
-    elastic::SnapshotCells cells;
+    state::SnapshotCells cells;
     cells.reserve(keyed_names.size());
     for (const auto& name : keyed_names) {
       cells.emplace_back(name, split[name][i]);
     }
-    const auto blob = elastic::build_snapshot(cells);
-    t.store.restore(blob);
+    t.store.restore(state::build_snapshot(cells));
     dsps::TaskContext ctx{t.id, opi, static_cast<int>(i), new_n, t.worker,
                           t.node};
     t.bolt->rescaled(ctx);
-    auto img = t.store.snapshot();
-    t.epoch0_image = img;
-    checkpoints_.set_committed_image(tid, std::move(img));
+    t.epoch0_image = t.store.snapshot();
+    ckpt_store_->overwrite(tid, t.epoch0_image);
+    t.store.rebase(t.epoch0_image);
   }
 
   // --- 6. rewire upstream routing ---------------------------------------------
@@ -407,7 +334,7 @@ void Engine::execute_rescale(uint64_t epoch) {
   }
 
   // --- 8. alignment channel counts ----------------------------------------------
-  recompute_expected_barriers();
+  count_expected_barriers();
 
   // --- 9. multicast structures ----------------------------------------------------
   for (auto& gp : groups_) {
@@ -531,17 +458,7 @@ void Engine::rescale_mcast_group(McastGroup& g) {
   // old tree holds no traffic for this group; anything stale still on
   // the wire resolves endpoint_index to -1 and is dropped on arrival.
   const int old_dstar = g.controller ? g.controller->dstar() : 0;
-  const int src = g.worker_level ? g.src_worker : g.src_task;
-  g.endpoints.clear();
-  g.endpoint_index.assign(g.worker_level ? workers_.size() : tasks_.size(),
-                          -1);
-  g.endpoints.push_back(src);
-  g.endpoint_index[static_cast<size_t>(src)] = 0;
-  for (int id : want) {
-    g.endpoint_index[static_cast<size_t>(id)] =
-        static_cast<int>(g.endpoints.size());
-    g.endpoints.push_back(id);
-  }
+  assign_endpoints(g, want);
   build_group_tree(g, old_dstar);
   drive_dstar_from_backlog(g);
 }

@@ -17,7 +17,7 @@ struct ElasticConfig {
   // Master switch. Off = no controllers, no polls, no migration machinery.
   // Requires cfg.state.enabled with aligned barriers when on: the rescale
   // protocol quiesces operators at epoch-barrier alignment and migrates
-  // state through the checkpoint coordinator's committed images.
+  // state through the checkpoint store's committed images.
   bool enabled = false;
 
   // Simulated-time cadence at which the controller samples the executor

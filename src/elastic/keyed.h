@@ -8,16 +8,12 @@
 // anything about the payloads. Operators keep full ownership of payload
 // serde; the split is a pure byte-level shuffle. The sort makes merged
 // and re-split bodies byte-stable regardless of which instance each
-// entry came from.
-//
-// The helpers at the bottom operate on whole StateStore::snapshot()
-// blobs (varint cell count + per cell {string name, length-prefixed
-// body}), which is what the checkpoint coordinator holds per task.
+// entry came from. Whole snapshot blobs are parsed and built with
+// state::parse_snapshot / state::build_snapshot (state/state_store.h).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,31 +59,6 @@ inline std::vector<KeyedEntry> read_keyed_body(ByteReader& r) {
     entries.push_back(std::move(e));
   }
   return entries;
-}
-
-// One parsed StateStore snapshot cell.
-using SnapshotCells = std::vector<std::pair<std::string, std::vector<uint8_t>>>;
-
-inline SnapshotCells parse_snapshot(std::span<const uint8_t> blob) {
-  SnapshotCells cells;
-  if (blob.empty()) return cells;
-  ByteReader r(blob);
-  const uint64_t n = r.get_varint();
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string name = r.get_string();
-    cells.emplace_back(std::move(name), r.get_bytes());
-  }
-  return cells;
-}
-
-inline std::vector<uint8_t> build_snapshot(const SnapshotCells& cells) {
-  ByteWriter w(256);
-  w.put_varint(cells.size());
-  for (const auto& [name, body] : cells) {
-    w.put_string(name);
-    w.put_bytes(body);
-  }
-  return w.take();
 }
 
 struct SplitStats {

@@ -75,8 +75,6 @@ class OneSidedPlane {
                 int host_node)
       : fabric_(fabric), cost_(cost), host_node_(host_node) {}
 
-  int host_node() const { return host_node_; }
-
   // One-sided WRITE of `bytes` into the host region. The initiator's CPU
   // pays the post cost (plus `extra_post_latency`, e.g. an MR growth
   // re-registration); the host CPU pays nothing. `on_complete` fires at

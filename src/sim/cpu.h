@@ -150,9 +150,6 @@ class CpuServer {
     return static_cast<double>(busy_in_window) / static_cast<double>(window);
   }
 
-  // Takes a snapshot callers can subtract later (cheap utilization windows).
-  Duration busy_snapshot() const { return total_busy_; }
-
  private:
   struct Job {
     Duration duration;
@@ -162,7 +159,7 @@ class CpuServer {
 
   // Approximation used by utilization(): we only track cumulative busy time,
   // so for a window starting mid-run we linearly attribute the current job.
-  // Callers that need exact windows use busy_snapshot() pairs instead.
+  // Callers that need exact windows subtract busy_time() readings instead.
   Duration busy_at(Time) const { return window_snapshot_; }
 
  public:

@@ -38,7 +38,6 @@ uint64_t CheckpointCoordinator::begin_epoch(Time now) {
   ++epoch_;
   epoch_start_ = now;
   staged_.clear();
-  staged_external_.clear();
   staged_channel_.clear();
   staged_channel_bytes_.clear();
   writes_done_.clear();
@@ -49,7 +48,6 @@ void CheckpointCoordinator::abort_epoch() {
   if (!in_flight_) return;
   in_flight_ = false;
   staged_.clear();
-  staged_external_.clear();
   staged_channel_.clear();
   staged_channel_bytes_.clear();
   writes_done_.clear();
@@ -59,20 +57,10 @@ void CheckpointCoordinator::abort_epoch() {
   // them.
 }
 
-bool CheckpointCoordinator::stage_snapshot(int task, uint64_t epoch,
-                                           std::vector<uint8_t> blob) {
+bool CheckpointCoordinator::stage(int task, uint64_t epoch,
+                                  const StateStore::DeltaStats& bytes) {
   if (!in_flight_ || epoch != epoch_) return false;
-  staged_[task] = std::move(blob);
-  return true;
-}
-
-bool CheckpointCoordinator::stage_external(int task, uint64_t epoch,
-                                           uint64_t shipped, uint64_t full,
-                                           uint32_t dirty_cells,
-                                           uint32_t clean_cells) {
-  if (!in_flight_ || epoch != epoch_) return false;
-  staged_external_[task] =
-      ExternalStage{shipped, full, dirty_cells, clean_cells};
+  staged_[task] = bytes;
   return true;
 }
 
@@ -107,19 +95,13 @@ void CheckpointCoordinator::commit(Time now) {
   if (!in_flight_) return;
   in_flight_ = false;
   last_committed_ = epoch_;
-  for (auto& [task, blob] : staged_) {
-    stats_.snapshot_bytes_total += blob.size();
-    stats_.full_bytes_total += blob.size();  // local writes are always full
-    committed_[task] = std::move(blob);
+  for (const auto& [task, bytes] : staged_) {
+    stats_.snapshot_bytes_total += bytes.shipped_bytes;
+    stats_.full_bytes_total += bytes.full_bytes;
+    stats_.dirty_cells_total += bytes.dirty_cells;
+    stats_.clean_cells_total += bytes.clean_cells;
   }
   staged_.clear();
-  for (const auto& [task, ext] : staged_external_) {
-    stats_.snapshot_bytes_total += ext.shipped;
-    stats_.full_bytes_total += ext.full;
-    stats_.dirty_cells_total += ext.dirty;
-    stats_.clean_cells_total += ext.clean;
-  }
-  staged_external_.clear();
   // Channel state is per-epoch: the committing epoch's captures REPLACE
   // the previous epoch's wholesale (a task that captured nothing this
   // epoch has empty committed channel state, not last epoch's leftovers).
@@ -183,25 +165,11 @@ std::vector<dsps::Tuple> CheckpointCoordinator::uncommitted_emissions(
   return out;
 }
 
-const std::vector<uint8_t>& CheckpointCoordinator::committed_image(
-    int task) const {
-  static const std::vector<uint8_t> kEmpty;
-  auto it = committed_.find(task);
-  return it == committed_.end() ? kEmpty : it->second;
-}
-
-uint64_t CheckpointCoordinator::committed_bytes_total() const {
-  uint64_t n = 0;
-  for (const auto& [task, blob] : committed_) n += blob.size();
-  return n;
-}
-
 void CheckpointCoordinator::rewind_to_committed() {
   // Quietly drop any in-flight epoch (the engine counts the abort that
   // the crash itself caused; recovery is not a second stall).
   in_flight_ = false;
   staged_.clear();
-  staged_external_.clear();
   staged_channel_.clear();
   staged_channel_bytes_.clear();
   writes_done_.clear();

@@ -9,7 +9,10 @@
 // wire message kind exists.
 //
 // The CheckpointCoordinator is passive bookkeeping: the engine drives
-// every transition and owns all scheduling. At most one epoch is in
+// every transition and owns all scheduling. It holds no snapshot bytes —
+// the images live in the CheckpointStore (state/checkpoint_store.h); the
+// coordinator keeps epochs, the sink ledger, the spout logs, channel
+// state and byte accounting. At most one epoch is in
 // flight; an epoch that cannot finish by the next injection tick (or that
 // loses a barrier to a full queue, a crash, or a dead destination) is
 // aborted, which bounds alignment stall at one checkpoint interval and
@@ -26,6 +29,7 @@
 #include "common/time.h"
 #include "dsps/tuple.h"
 #include "state/state.h"
+#include "state/state_store.h"
 
 namespace whale::state {
 
@@ -52,8 +56,8 @@ class CheckpointCoordinator {
     Duration last_epoch_duration = 0;    // inject -> commit
     Duration epoch_duration_total = 0;
     Duration align_stall_total = 0;      // summed over tasks (engine-fed)
-    // Remote/incremental accounting (DESIGN.md §12). full_bytes_total is
-    // what full snapshots of the committed epochs WOULD have cost; with
+    // Incremental accounting (DESIGN.md §12). full_bytes_total is what
+    // full snapshots of the committed epochs WOULD have cost; with
     // snapshot_bytes_total (what actually shipped) it yields the dirty
     // ratio. Channel counters cover unaligned-barrier in-flight capture.
     uint64_t full_bytes_total = 0;
@@ -71,23 +75,17 @@ class CheckpointCoordinator {
   uint64_t current_epoch() const { return epoch_; }
   uint64_t last_committed() const { return last_committed_; }
   uint64_t begin_epoch(Time now);
-  // Drops staged snapshots; sealed-but-uncommitted sink roots stay queued
-  // for the next epoch (they were genuinely processed — only the snapshot
-  // failed).
+  // Drops staged accounting; sealed-but-uncommitted sink roots stay
+  // queued for the next epoch (they were genuinely processed — only the
+  // snapshot failed).
   void abort_epoch();
 
   // --- per-task snapshot flow -------------------------------------------
-  // Stages `task`'s serialized state for the in-flight epoch. Returns
-  // false if the epoch is stale (already aborted or superseded).
-  bool stage_snapshot(int task, uint64_t epoch, std::vector<uint8_t> blob);
-  // Remote-backend variant: the blob lives on the state host (the
-  // RemoteStateBackend owns the images); the coordinator only tracks the
-  // staging and the byte accounting (`shipped` = wire bytes of the delta,
-  // `full` = what a full snapshot would have cost, plus the cell dirty
-  // census). Same staleness contract as stage_snapshot.
-  bool stage_external(int task, uint64_t epoch, uint64_t shipped,
-                      uint64_t full, uint32_t dirty_cells,
-                      uint32_t clean_cells);
+  // Stages the byte accounting of `task`'s snapshot for the in-flight
+  // epoch (shipped and full bytes plus the cell dirty census); the
+  // snapshot itself goes to the CheckpointStore. Returns false if the
+  // epoch is stale (already aborted or superseded).
+  bool stage(int task, uint64_t epoch, const StateStore::DeltaStats& bytes);
   // Unaligned barriers: stages the in-flight tuples captured between the
   // epoch's first barrier and each channel's own barrier. Committed with
   // the epoch (REPLACING the previous epoch's channel state) and
@@ -99,8 +97,8 @@ class CheckpointCoordinator {
   // when every task's write has landed (caller then calls commit()).
   bool write_complete(int task, uint64_t epoch);
   bool ready_to_commit() const;
-  // Commits the in-flight epoch: staged snapshots become the committed
-  // images, sealed sink roots enter the committed set, logs are pruned.
+  // Commits the in-flight epoch: staged bytes are accounted, sealed sink
+  // roots enter the committed set, logs are pruned.
   void commit(Time now);
 
   // --- sink exactly-once -------------------------------------------------
@@ -122,24 +120,15 @@ class CheckpointCoordinator {
 
   // --- elastic rescaling (DESIGN.md §14) ----------------------------------
   // Non-destructive participant-count update: future epochs expect writes
-  // from `num_tasks` participants, but staged/committed images and the
-  // sink exactly-once ledger survive (unlike reset()). Called at rescale
+  // from `num_tasks` participants, but channel state and the sink
+  // exactly-once ledger survive (unlike reset()). Called at rescale
   // commit, when no epoch is in flight.
   void set_num_tasks(int num_tasks) { num_tasks_ = num_tasks; }
-  int num_tasks() const { return num_tasks_; }
-  // Overwrites `task`'s committed image with a migration-produced blob, so
-  // a crash after the rescale commit rolls freshly (re)split state back to
-  // exactly what the rescale installed.
-  void set_committed_image(int task, std::vector<uint8_t> blob) {
-    committed_[task] = std::move(blob);
-  }
-  // Drops a retired task's images and channel state; its slice now lives
-  // in the surviving instances' overwritten images.
+  // Drops a retired task's staging, channel state and logs; its slice now
+  // lives in the surviving instances' overwritten images.
   void erase_task(int task) {
     staged_.erase(task);
     writes_done_.erase(task);
-    committed_.erase(task);
-    staged_external_.erase(task);
     staged_channel_.erase(task);
     staged_channel_bytes_.erase(task);
     committed_channel_.erase(task);
@@ -148,8 +137,6 @@ class CheckpointCoordinator {
   }
 
   // --- recovery -----------------------------------------------------------
-  const std::vector<uint8_t>& committed_image(int task) const;
-  uint64_t committed_bytes_total() const;
   // Rolls back to the last committed epoch: aborts any in-flight epoch
   // and discards uncommitted sink pendings (replay re-delivers them).
   void rewind_to_committed();
@@ -164,21 +151,11 @@ class CheckpointCoordinator {
   uint64_t last_committed_ = 0;  // 0 = nothing committed yet
   Time epoch_start_ = 0;
 
-  // Ordered maps on purpose: commit() and committed_bytes_total() iterate
-  // these, and byte/fingerprint accounting must accumulate in sorted task
-  // order — unordered_map iteration order varies across libc++ versions
-  // and platforms, which made snapshot byte order nondeterministic.
-  std::map<int, std::vector<uint8_t>> staged_;
+  // Ordered maps on purpose: commit() iterates these, and byte/fingerprint
+  // accounting must accumulate in sorted task order — unordered_map
+  // iteration order varies across libc++ versions and platforms.
+  std::map<int, StateStore::DeltaStats> staged_;
   std::unordered_set<int> writes_done_;
-  std::map<int, std::vector<uint8_t>> committed_;
-  // Remote staging: task -> {shipped, full, dirty, clean} for the epoch.
-  struct ExternalStage {
-    uint64_t shipped = 0;
-    uint64_t full = 0;
-    uint32_t dirty = 0;
-    uint32_t clean = 0;
-  };
-  std::map<int, ExternalStage> staged_external_;
   // Unaligned channel state: per-epoch, replaced wholesale at commit.
   std::map<int, std::vector<dsps::Tuple>> staged_channel_;
   std::map<int, uint64_t> staged_channel_bytes_;

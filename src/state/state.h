@@ -36,11 +36,11 @@ struct StateConfig {
   // acker's timeout replay; acker replay is disabled for the run.
   bool recover_from_checkpoint = true;
 
-  // --- remote-state backend (DESIGN.md §12) -------------------------------
+  // --- remote checkpoint-store medium (DESIGN.md §12) ----------------------
   // When true, snapshots go to RDMA-registered memory on a dedicated
   // state-host node appended to the fabric, via one-sided WRITEs (zero
   // receiver CPU); recovery reads the committed images back with
-  // one-sided READs. The local persistent-store model above is bypassed.
+  // one-sided READs. The local persistent-store timing above is bypassed.
   bool remote = false;
   // Incremental/differential snapshots: only pages of dirty cells cross
   // the wire (StateStore::snapshot_delta). Requires `remote` — the local

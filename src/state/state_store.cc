@@ -18,17 +18,37 @@ void StateStore::register_cell(std::string name, SaveFn save,
   cells_.push_back(std::move(c));
 }
 
-std::vector<uint8_t> StateStore::snapshot() const {
-  ByteWriter w;
-  w.put_varint(cells_.size());
-  for (const auto& c : cells_) {
-    w.put_string(c.name);
-    ByteWriter body;
-    c.save(body);
-    auto bytes = body.take();
-    w.put_bytes(std::span<const uint8_t>(bytes.data(), bytes.size()));
+SnapshotCells parse_snapshot(std::span<const uint8_t> blob) {
+  SnapshotCells cells;
+  if (blob.empty()) return cells;
+  ByteReader r(blob);
+  const uint64_t n = r.get_varint();
+  for (uint64_t i = 0; i < n; ++i) {
+    std::string name = r.get_string();
+    cells.emplace_back(std::move(name), r.get_bytes());
+  }
+  return cells;
+}
+
+std::vector<uint8_t> build_snapshot(const SnapshotCells& cells) {
+  ByteWriter w(256);
+  w.put_varint(cells.size());
+  for (const auto& [name, body] : cells) {
+    w.put_string(name);
+    w.put_bytes(body);
   }
   return w.take();
+}
+
+std::vector<uint8_t> StateStore::snapshot() const {
+  SnapshotCells cells;
+  cells.reserve(cells_.size());
+  for (const auto& c : cells_) {
+    ByteWriter body;
+    c.save(body);
+    cells.emplace_back(c.name, body.take());
+  }
+  return build_snapshot(cells);
 }
 
 std::vector<uint8_t> StateStore::snapshot_delta(uint64_t page_bytes,
@@ -123,12 +143,7 @@ void StateStore::rebase(std::span<const uint8_t> full_image) {
     c.pending.clear();
     c.has_pending = false;
   }
-  if (full_image.empty()) return;
-  ByteReader r(full_image);
-  const size_t n = r.get_varint();
-  for (size_t i = 0; i < n; ++i) {
-    const std::string name = r.get_string();
-    std::vector<uint8_t> body = r.get_bytes();
+  for (auto& [name, body] : parse_snapshot(full_image)) {
     for (auto& c : cells_) {
       if (c.name != name) continue;
       c.baseline = std::move(body);
@@ -144,11 +159,7 @@ void StateStore::restore(std::span<const uint8_t> blob) {
 void StateStore::restore_if(
     std::span<const uint8_t> blob,
     const std::function<bool(const std::string&)>& filter) {
-  ByteReader r(blob);
-  const size_t n = r.get_varint();
-  for (size_t i = 0; i < n; ++i) {
-    const std::string name = r.get_string();
-    const std::vector<uint8_t> body = r.get_bytes();
+  for (const auto& [name, body] : parse_snapshot(blob)) {
     if (filter && !filter(name)) continue;
     for (auto& c : cells_) {
       if (c.name != name) continue;

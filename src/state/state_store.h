@@ -7,12 +7,12 @@
 // back through the matching cells by name, so layout changes between
 // registration orders are tolerated as long as names survive.
 //
-// For the remote-state backend (DESIGN.md §12) the store additionally
-// tracks a per-cell *baseline*: the serialized bytes of the last
-// committed snapshot. snapshot_delta() diffs the current serialization
-// against it — clean cells are skipped entirely and dirty cells are
-// shipped page-granular (only the changed pages cross the wire), which
-// is what makes one-sided incremental checkpoints cheap. Dirtiness is
+// For checkpoints (DESIGN.md §10, §12) the store additionally tracks a
+// per-cell *baseline*: the serialized bytes of the last committed
+// snapshot. snapshot_delta() diffs the current serialization against it
+// — clean cells are skipped entirely and dirty cells are shipped
+// page-granular (only the changed pages cross the wire), which is what
+// makes one-sided incremental checkpoints cheap. Dirtiness is
 // detected by content comparison, never by an operator-declared flag, so
 // a missed annotation can never silently corrupt a checkpoint.
 #pragma once
@@ -21,11 +21,20 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
 
 namespace whale::state {
+
+// The snapshot blob format, owned here: varint cell count, then per cell
+// {string name, length-prefixed body}. StateStore::snapshot() builds it,
+// restore()/rebase() parse it, and so do the checkpoint store's committed
+// images and the elastic key-range migration.
+using SnapshotCells = std::vector<std::pair<std::string, std::vector<uint8_t>>>;
+SnapshotCells parse_snapshot(std::span<const uint8_t> blob);  // {} if empty
+std::vector<uint8_t> build_snapshot(const SnapshotCells& cells);
 
 class StateStore {
  public:
@@ -44,8 +53,7 @@ class StateStore {
   // pair is invoked on every snapshot/restore of the owning executor.
   void register_cell(std::string name, SaveFn save, RestoreFn restore);
 
-  // Serializes all cells: varint cell count, then per cell
-  // {string name, varint body_size, body bytes}. Cells are emitted in
+  // Serializes all cells in the snapshot blob format. Cells are emitted in
   // registration order, which is fixed at prepare() time — the blob is
   // byte-stable across runs and platforms.
   std::vector<uint8_t> snapshot() const;
@@ -69,10 +77,11 @@ class StateStore {
   void drop_pending_baseline();
 
   // Resets the committed baseline to `full_image` (a snapshot()-format
-  // blob) and drops any pending baseline. Used after recovery: the next
-  // delta must be diffed against the image the backend restored, for
-  // every task — including spouts, whose live operator cells are not
-  // rolled back but whose host-resident images are the committed ones.
+  // blob) and drops any pending baseline. Used at bind and after
+  // recovery: the next delta must be diffed against the image the
+  // checkpoint store holds, for every task — including spouts, whose live
+  // operator cells are not rolled back but whose stored images are the
+  // committed ones.
   void rebase(std::span<const uint8_t> full_image);
 
   // Replays a snapshot produced by this store (or an identically

@@ -1,7 +1,8 @@
 // Fingerprint-parity gate (promoted to ctest from the manual CI diff).
 //
 // results/fingerprints_baseline.txt pins the behavioural fingerprint of
-// eight deterministic workloads. Two properties are enforced here:
+// eleven deterministic workloads: eight with checkpointing off and three
+// `state/*` probes with it on. Two properties are enforced here:
 //
 //  1. A run with the obs layer *disabled* (the default EngineConfig) is
 //     bit-identical to the recorded baseline — the observability layer is
@@ -61,11 +62,13 @@ TEST(FingerprintParity, DisabledObsMatchesBaseline) {
 }
 
 // Property 2: tracing-on (metrics off) == baseline for the heaviest Whale
-// probe and the fault/recovery probe. The tracer must never schedule an
-// event, so `events=` in the fingerprint cannot move.
+// probe, the fault/recovery probe and a checkpoint-recovery probe. The
+// tracer must never schedule an event, so `events=` in the fingerprint
+// cannot move.
 TEST(FingerprintParity, TracingOnMatchesBaseline) {
   const auto baseline = load_baseline();
-  for (const std::string label : {"fig13/whale", "faults/whale-seeded"}) {
+  for (const std::string label :
+       {"fig13/whale", "faults/whale-seeded", "state/remote-incremental"}) {
     const FingerprintLine got =
         run_fingerprint_probe(label, [](whale::core::EngineConfig& cfg) {
           cfg.obs.tracing_enabled = true;
@@ -80,10 +83,12 @@ TEST(FingerprintParity, TracingOnMatchesBaseline) {
 // Property 3: the state/checkpointing layer runtime-off is
 // bit-identical to the baseline regardless of how its other knobs are set.
 // (Property 1 already covers the default-constructed StateConfig; this
-// pins that `enabled` alone gates every effect.)
+// pins that `enabled` alone gates every effect.) The `state/*` probes
+// exist to run with checkpointing on, so they are not part of it.
 TEST(FingerprintParity, DisabledCheckpointingMatchesBaseline) {
   const auto baseline = load_baseline();
   for (const auto& label : fingerprint_probe_labels()) {
+    if (label.rfind("state/", 0) == 0) continue;
     const FingerprintLine got =
         run_fingerprint_probe(label, [](whale::core::EngineConfig& cfg) {
           cfg.state.enabled = false;

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -26,7 +27,7 @@
 #include "sim/cpu.h"
 #include "sim/simulation.h"
 #include "state/checkpoint.h"
-#include "state/remote_store.h"
+#include "state/checkpoint_store.h"
 #include "state/state_store.h"
 
 namespace whale::core {
@@ -586,76 +587,92 @@ TEST(Checkpoints, EpochsSurviveRelayCrashAndRepair) {
   EXPECT_EQ(tree.validate(), "");
 }
 
-// --- remote state backend (DESIGN.md §12) ---------------------------------
+// --- checkpoint store, both media (DESIGN.md §10, §12) --------------------
 
-TEST(RemoteBackend, StagedDeltaCommitsIntoHostImage) {
-  sim::Simulation sim;
-  net::ClusterSpec cluster;
-  cluster.num_nodes = 2;  // node 0 = worker, node 1 = state host
-  net::Fabric fabric(sim, cluster);
-  net::CostModel cost;
-  state::StateConfig cfg;
-  cfg.remote = true;
-  cfg.incremental = true;
-  state::RemoteStateBackend be(fabric, cost, cfg, /*host_node=*/1);
-  sim::CpuServer cpu(sim, "t0", nullptr);
+enum class Medium { kLocal, kRemote };  // the remote one runs incrementally
 
-  int64_t v = 7;
-  state::StateStore store;
-  store.register_cell(
-      "v", [&](ByteWriter& w) { w.put_i64(v); },
-      [&](ByteReader& r) { v = r.get_i64(); });
-  const auto epoch0 = store.snapshot();
-  be.bind_task(0, /*node=*/0, epoch0);
-  store.rebase(epoch0);
-  EXPECT_EQ(be.committed_image(0), epoch0);
-  EXPECT_EQ(be.stats().regions, 1u);
-
-  v = 8;
-  auto delta = store.snapshot_delta(cfg.delta_page_bytes, false);
-  bool written = false;
-  be.write_snapshot(0, /*epoch=*/1, &cpu, std::move(delta),
-                    /*extra_bytes=*/0, [&] { written = true; });
-  sim.run_until(ms(10));
-  EXPECT_TRUE(written);
-  EXPECT_GT(be.stats().write_bytes, 0u);
-  // Staged, not yet committed: a racing recovery still READs epoch 0.
-  EXPECT_EQ(be.committed_image(0), epoch0);
-
-  be.commit(1);
-  store.commit_baseline();
-  EXPECT_EQ(be.committed_image(0), store.snapshot());
+void PrintTo(Medium m, std::ostream* os) {
+  *os << (m == Medium::kRemote ? "remote" : "local");
 }
 
-TEST(RemoteBackend, AbortDropsStagedDelta) {
-  sim::Simulation sim;
-  net::ClusterSpec cluster;
-  cluster.num_nodes = 2;
-  net::Fabric fabric(sim, cluster);
-  net::CostModel cost;
-  state::StateConfig cfg;
-  cfg.remote = true;
-  state::RemoteStateBackend be(fabric, cost, cfg, 1);
-  sim::CpuServer cpu(sim, "t0", nullptr);
+class CheckpointStoreMedia : public ::testing::TestWithParam<Medium> {
+ protected:
+  CheckpointStoreMedia() : fabric_(sim_, two_nodes()) {
+    cfg_.remote = remote();
+    cfg_.incremental = remote();
+    store_.register_cell(
+        "v", [this](ByteWriter& w) { w.put_i64(v_); },
+        [this](ByteReader& r) { v_ = r.get_i64(); });
+    epoch0_ = store_.snapshot();
+    ckpt_.bind_task(0, /*node=*/0, epoch0_);
+    store_.rebase(epoch0_);
+  }
 
-  int64_t v = 7;
-  state::StateStore store;
-  store.register_cell(
-      "v", [&](ByteWriter& w) { w.put_i64(v); },
-      [&](ByteReader& r) { v = r.get_i64(); });
-  const auto epoch0 = store.snapshot();
-  be.bind_task(0, 0, epoch0);
-  store.rebase(epoch0);
-  v = 9;
-  be.write_snapshot(0, 1, &cpu,
-                    store.snapshot_delta(cfg.delta_page_bytes, true), 0,
-                    nullptr);
-  sim.run_until(ms(10));
-  be.abort(1);
-  store.drop_pending_baseline();
-  be.commit(1);  // nothing staged anymore: must be a no-op
-  EXPECT_EQ(be.committed_image(0), epoch0);
+  static net::ClusterSpec two_nodes() {
+    net::ClusterSpec cluster;
+    cluster.num_nodes = 2;  // node 0 = worker, node 1 = state host
+    return cluster;
+  }
+
+  bool remote() const { return GetParam() == Medium::kRemote; }
+  // What the store holds before any commit: the seeded epoch-0 image on
+  // the remote medium, nothing on the local one.
+  std::vector<uint8_t> uncommitted() const {
+    return remote() ? epoch0_ : std::vector<uint8_t>{};
+  }
+
+  sim::Simulation sim_;
+  net::Fabric fabric_;
+  net::CostModel cost_;
+  state::StateConfig cfg_;
+  state::CheckpointStore ckpt_{fabric_, cost_, cfg_, /*host_node=*/1};
+  sim::CpuServer cpu_{sim_, "t0", nullptr};
+  int64_t v_ = 7;
+  state::StateStore store_;
+  std::vector<uint8_t> epoch0_;
+};
+
+TEST_P(CheckpointStoreMedia, StagedDeltaCommitsIntoImage) {
+  EXPECT_EQ(ckpt_.committed_image(0), uncommitted());
+  EXPECT_EQ(ckpt_.stats().regions, remote() ? 1u : 0u);
+
+  v_ = 8;
+  auto snap = ckpt_.take(store_);
+  const uint64_t shipped = snap.stats.shipped_bytes;
+  Time landed = -1;
+  ckpt_.write(0, /*epoch=*/1, &cpu_, std::move(snap), /*extra_bytes=*/0,
+              [&] { landed = sim_.now(); });
+  sim_.run_until(ms(10));
+  ASSERT_GE(landed, 0);
+  if (remote()) {
+    EXPECT_GT(ckpt_.stats().write_bytes, 0u);
+  } else {
+    EXPECT_EQ(landed, state::store_transfer_time(
+                          shipped, cfg_.store_write_gbps,
+                          cfg_.store_write_latency));
+    EXPECT_EQ(ckpt_.stats().write_bytes, 0u);
+  }
+  // Staged, not yet committed: a racing recovery still reads epoch 0.
+  EXPECT_EQ(ckpt_.committed_image(0), uncommitted());
+
+  ckpt_.commit(1);
+  store_.commit_baseline();
+  EXPECT_EQ(ckpt_.committed_image(0), store_.snapshot());
 }
+
+TEST_P(CheckpointStoreMedia, AbortDropsStagedDelta) {
+  v_ = 9;
+  ckpt_.write(0, 1, &cpu_, ckpt_.take(store_), 0, [] {});
+  sim_.run_until(ms(10));
+  ckpt_.abort(1);
+  store_.drop_pending_baseline();
+  ckpt_.commit(1);  // nothing staged anymore: must be a no-op
+  EXPECT_EQ(ckpt_.committed_image(0), uncommitted());
+  EXPECT_EQ(ckpt_.committed_bytes_total(), uncommitted().size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Media, CheckpointStoreMedia,
+                         ::testing::Values(Medium::kLocal, Medium::kRemote));
 
 // Stateful shuffle pipeline (spout cursor + counting sink) whose sink
 // state grows every epoch — the workload the incremental-delta and
