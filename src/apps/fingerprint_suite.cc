@@ -66,6 +66,21 @@ FingerprintLine probe_faults(const ConfigMutator& mutate) {
   return {"faults/whale-seeded", r.fingerprint()};
 }
 
+// d* switching under a crash: the fig13 Whale shape starting from a chain
+// (d* = 1) with the controller sampling every 10 ms, so a scale-up switch
+// is in flight when node 1 crashes at 50 ms. The crash aborts it, one
+// relay repair follows, and a later switch completes in the window.
+FingerprintLine probe_switch_crash(const ConfigMutator& mutate) {
+  core::EngineConfig cfg = base_config(core::SystemVariant::Whale());
+  cfg.initial_dstar = 1;
+  cfg.controller.sample_interval = ms(10);
+  cfg.faults.crash(/*node=*/1, /*at=*/ms(50), /*restart_after=*/ms(50));
+  if (mutate) mutate(cfg);
+  core::Engine e(cfg, build_ride_hailing(ride_params()).topology);
+  const auto& r = e.run(ms(100), ms(300));
+  return {"faults/whale-switch-crash", r.fingerprint()};
+}
+
 // Checkpointing on: the fig13 ride-hailing shape at 1,000 requests/s,
 // epochs every 50 ms, and node 3 crashing mid-window so one recovery
 // restores the committed images and replays the spout logs. `medium`
@@ -92,7 +107,8 @@ std::vector<std::string> fingerprint_probe_labels() {
   return {"fig13/storm", "fig13/rdma-storm", "fig13/whale-woc", "fig13/whale",
           "fig15/storm", "fig15/rdmc",       "fig15/whale",
           "faults/whale-seeded", "state/local-aligned",
-          "state/local-unaligned", "state/remote-incremental"};
+          "state/local-unaligned", "state/remote-incremental",
+          "faults/whale-switch-crash"};
 }
 
 FingerprintLine run_fingerprint_probe(const std::string& label,
@@ -120,6 +136,9 @@ FingerprintLine run_fingerprint_probe(const std::string& label,
   }
   if (label == "faults/whale-seeded") {
     return probe_faults(mutate);
+  }
+  if (label == "faults/whale-switch-crash") {
+    return probe_switch_crash(mutate);
   }
   if (label == "state/local-aligned") {
     return probe_state("local-aligned", [](state::StateConfig&) {}, mutate);

@@ -50,9 +50,6 @@ struct EngineConfig {
   // replicating a multicast tuple onto d0 channels (the t_d of Sec. 4):
   // queue ops + channel buffer append per cascading destination.
   Duration mcast_schedule_per_child = ns(3500);
-  // Encoding the per-worker BatchTuple header around an already-serialized
-  // body (worker-oriented communication reserializes nothing).
-  Duration woc_header_cost = ns(600);
 
   // Stream slicing (Sec. 4): flush when the per-channel buffer reaches MMS
   // bytes or the oldest buffered tuple has waited WTL.
@@ -72,10 +69,9 @@ struct EngineConfig {
   // Establishing a replacement RDMA connection during dynamic switching
   // (QP create + handshake + registration); dominates T_switch.
   Duration switch_connection_setup = ms(60);
-  uint64_t control_message_bytes = 64;
 
-  // Statistics monitoring (Sec. 4).
-  Duration monitor_unit = ms(100);
+  // Statistics monitoring (Sec. 4): alpha of the lambda monitor's
+  // weighted average.
   double lambda_alpha = 0.8;
 
   // Storm-style tuple-tree acking ("ideal acker": the XOR ledger is exact
@@ -89,9 +85,8 @@ struct EngineConfig {
   // = no faults. Requires enable_acking for replay to have any effect.
   faults::FaultPlan faults;
   // Replay timed-out / failed roots from the spout (at-least-once across
-  // crashes). Each root is retried at most max_replays_per_root times.
+  // crashes). Each root is retried a bounded number of times (3).
   bool replay_on_failure = false;
-  int max_replays_per_root = 3;
 
   uint64_t seed = 42;
 

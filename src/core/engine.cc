@@ -19,6 +19,16 @@ enum CtrlType : uint8_t { kStatus = 0, kReconfigure = 1 };
 
 constexpr uint64_t kMaxTrackedTuples = 1 << 20;
 
+// Encoding the per-worker BatchTuple header around an already-serialized
+// body (worker-oriented communication reserializes nothing).
+constexpr Duration kWocHeaderCost = ns(600);
+// Wire size of a control-plane message (status or reconfigure).
+constexpr size_t kControlMessageBytes = 64;
+// Statistics monitoring unit of the stream-rate monitor (Sec. 4).
+constexpr Duration kMonitorUnit = ms(100);
+// Spout replays of one failed root before it is written off.
+constexpr int kMaxReplaysPerRoot = 3;
+
 // Asynchronous self-continuation without a reference cycle. `body` is
 // invoked with a copyable `next` callable; calling next() (directly or
 // from a scheduled/queued continuation) runs another iteration. The body
@@ -394,7 +404,7 @@ void Engine::obs_finalize() {
   }
   for (const auto& tp : tasks_) {
     inflight += tp->in_queue->size();
-    inflight += tp->align_buf.size();  // stashed behind an epoch barrier
+    inflight += tp->stash.size();  // stashed behind an epoch barrier
     // A task stuck mid-processing (its emission blocked on a queue that
     // will never drain) holds exactly one tuple instance in limbo.
     if (tp->processing) ++inflight;
@@ -683,7 +693,7 @@ void Engine::build_group_tree(McastGroup& g, int dstar) {
             cfg_.controller, cfg_.executor_queue_capacity, n, d0);
         if (!g.stream_monitor) {
           g.stream_monitor = std::make_unique<multicast::StreamMonitor>(
-              cfg_.monitor_unit, cfg_.lambda_alpha);
+              kMonitorUnit, cfg_.lambda_alpha);
         }
       }
       break;
@@ -696,7 +706,7 @@ void Engine::build_group_tree(McastGroup& g, int dstar) {
 void Engine::observe_tree_repairs(McastGroup& g) {
   // Structural tree changes land as instants on the source's control lane;
   // the surrounding repair *episode* (pause -> reconfigure -> ACKs) is the
-  // complete span emitted by finish_repair.
+  // complete span emitted by finish_reconfig.
   const int src_worker = g.src_worker;
   g.tree.set_repair_observer(
       [this, src_worker](const char* op, int /*node*/, size_t moves) {
@@ -1184,11 +1194,11 @@ void Engine::pump_task(TaskRt& t) {
   // holds still until its rescale epoch commits (or aborts). Plain bool
   // reads — no cost on elastic-off runs.
   if (!t.active || t.quiesced) return;
-  // Deliveries stashed behind a completed/aborted barrier go first: they
-  // arrived before anything still waiting in the in-queue.
-  if (state_on() && !t.aligning && !t.align_buf.empty()) {
-    Delivery d = std::move(t.align_buf.front());
-    t.align_buf.pop_front();
+  // Deliveries stashed behind a closed fence go first: they arrived before
+  // anything still waiting in the in-queue.
+  if (state_on() && !t.stash.empty() && t.fenced.empty()) {
+    Delivery d = std::move(t.stash.front());
+    t.stash.pop_front();
     t.processing = true;
     process_tuple(t, std::move(d));
     return;
@@ -1200,6 +1210,7 @@ void Engine::pump_task(TaskRt& t) {
 }
 
 void Engine::process_tuple(TaskRt& t, Delivery d) {
+  bool capture = false;
   if (state_on()) {
     // Stale-incarnation fence: a copy sent before a recovery (still on the
     // wire or in a queue when the rollback ran) must not be applied to the
@@ -1223,15 +1234,24 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
       handle_barrier(t, std::move(d));
       return;
     }
-    // Aligning and this input channel already delivered its barrier:
-    // stash the tuple (it belongs to the NEXT epoch) until alignment
-    // completes or the epoch aborts. No CPU is charged for the stash.
-    if (t.aligning &&
-        t.barriers_from.count(chan_key(d.tuple->stream, d.src_task)) != 0) {
-      t.align_buf.push_back(std::move(d));
-      t.processing = false;
-      pump_task(t);
-      return;
+    // An open fence splits the input channels at the cut. Aligned, a
+    // fenced channel's tuple belongs to the NEXT epoch: it waits in the
+    // stash, uncharged, until the fence closes. Unaligned, an unfenced
+    // channel's tuple is pre-barrier traffic arriving after the cut: it is
+    // captured into the epoch's channel state (after the duplicate filter
+    // below) and ALSO processed live — its effects land outside the snapshot,
+    // which is exactly why recovery re-applies the captured copy.
+    if (!t.fenced.empty()) {
+      const bool fenced =
+          t.fenced.count(chan_key(d.tuple->stream, d.src_task)) != 0;
+      if (cfg_.state.unaligned) {
+        capture = !fenced;
+      } else if (fenced) {
+        t.stash.push_back(std::move(d));
+        t.processing = false;
+        pump_task(t);
+        return;
+      }
     }
   }
   std::shared_ptr<const dsps::Tuple> tuple = std::move(d.tuple);
@@ -1252,16 +1272,7 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
     pump_task(t);
     return;
   }
-  // Unaligned capture window: between the first and last barrier of an
-  // epoch, traffic on a channel that has not fenced yet is pre-barrier
-  // state. It is recorded into the epoch's channel state and ALSO
-  // processed live below — its effects land outside the snapshot, which
-  // is exactly why recovery re-applies the captured copy.
-  if (state_on() && t.capturing &&
-      t.barriers_from.count(chan_key(tuple->stream, d.src_task)) == 0) {
-    t.captured.push_back(*tuple);
-    t.captured_bytes += tuple->approx_bytes();
-  }
+  if (capture) t.captured.push_back(*tuple);
   // Per-(stream, destination instance) load accounting: feeds the
   // load-imbalance gauges and the report's stream_routing rows.
   if (!t.spout) {
@@ -1640,7 +1651,7 @@ void Engine::send_point_to_point(TaskRt& t,
       auto& tgt = targets[idx++];
       // The data item is serialized once; subsequent workers only pay the
       // BatchTuple header packaging cost.
-      const Duration d = (idx == 1) ? first_ser : cfg_.woc_header_cost;
+      const Duration d = (idx == 1) ? first_ser : kWocHeaderCost;
       traw->cpu->execute(
           d, sim::CpuCategory::kSerialization,
           [this, traw, &tgt, next, track_root, bar, d, root, &w] {
@@ -2015,7 +2026,7 @@ void Engine::handle_bytes(WorkerRt& w, rdma::Packet pkt, int src_worker) {
       handle_control(w, std::move(pkt));
       break;
     case MsgKind::kAck:
-      handle_ack(env.group, src_worker);
+      handle_ack(env.group, src_worker, pkt.gen);
       break;
   }
 }
@@ -2216,11 +2227,11 @@ void Engine::comm_track_delivery(uint64_t root_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Self-adjusting controller & dynamic switching
+// Self-adjusting controller & tree changes (d* switches, crash repairs)
 // ---------------------------------------------------------------------------
 
 void Engine::controller_sample(McastGroup& g) {
-  if (!g.controller || g.switching || g.repairing) return;
+  if (!g.controller || g.reconfiguring) return;
   // Epoch fence: never start a switch while a barrier is inside the tree
   // (the controller simply re-samples at the next tick).
   if (g.barrier_pending > 0) return;
@@ -2239,50 +2250,97 @@ void Engine::controller_sample(McastGroup& g) {
   const int d0 = g.controller->dstar();
   const Duration te =
       td + ts / static_cast<Duration>(std::max(1, d0));
-  const auto decision =
-      g.controller->on_sample(src.in_queue->size(), lambda, te);
-  if (decision.action !=
-      multicast::SelfAdjustingController::Action::kNone) {
-    begin_switch(g, decision);
-  }
-}
-
-void Engine::begin_switch(McastGroup& g,
-                          multicast::SelfAdjustingController::Decision d) {
+  const auto d = g.controller->on_sample(src.in_queue->size(), lambda, te);
   using Action = multicast::SelfAdjustingController::Action;
-  g.pending_tree = g.tree;  // plan on a copy; swap in at completion
-  std::vector<multicast::Move> moves;
-  if (d.action == Action::kScaleDown) {
-    moves = g.pending_tree->plan_scale_down(d.new_dstar);
-  } else {
-    moves = g.pending_tree->plan_scale_up(d.new_dstar);
-  }
-  g.pending_dstar = d.new_dstar;
-
+  if (d.action == Action::kNone) return;
+  multicast::MulticastTree next = g.tree;  // plan on a copy
+  const auto moves = d.action == Action::kScaleDown
+                         ? next.plan_scale_down(d.new_dstar)
+                         : next.plan_scale_up(d.new_dstar);
   if (moves.empty()) {
-    g.tree = std::move(*g.pending_tree);
-    g.pending_tree.reset();
+    // Nothing to re-parent: the new out-degree applies at once.
+    g.tree = std::move(next);
     g.controller->confirm(d.new_dstar);
     return;
   }
+  begin_reconfig(g, moves, std::move(next), d.new_dstar);
+}
 
-  g.switching = true;
-  g.switch_start = cur_sim().now();
-  g.acks_needed = moves.size();
-  g.acks_got = 0;
-
+void Engine::begin_reconfig(McastGroup& g,
+                            const std::vector<multicast::Move>& moves,
+                            std::optional<multicast::MulticastTree> next,
+                            int next_dstar) {
+  g.reconfiguring = true;
+  ++g.change;
+  g.reconfig_start = cur_sim().now();
+  g.next = std::move(next);
+  g.next_dstar = next_dstar;
+  g.owed.clear();
+  for (const auto& mv : moves) {
+    const int wk = endpoint_worker(g, mv.node);
+    if (!workers_[static_cast<size_t>(wk)]->down) g.owed.push_back(wk);
+  }
+  if (g.owed.empty()) {
+    // A leaf crash (or every orphan dead): nothing to renegotiate.
+    finish_reconfig(g);
+    return;
+  }
   // Pause the source worker's data output (Thm. 4's v_out -> 0 window).
   auto& sw = *workers_[static_cast<size_t>(g.src_worker)];
-  sw.paused = true;
-
-  // StatusMessage to every endpoint announcing the switch...
-  for (size_t e = 1; e < g.endpoints.size(); ++e) {
-    send_control(g.src_worker, endpoint_worker(g, static_cast<int>(e)), g.id,
-                 MsgKind::kControl);
+  if (!sw.down) sw.paused = true;
+  // A switch announces itself with a StatusMessage to every endpoint...
+  if (g.next) {
+    for (size_t e = 1; e < g.endpoints.size(); ++e) {
+      send_control(g.src_worker, endpoint_worker(g, static_cast<int>(e)),
+                   g.id, MsgKind::kControl);
+    }
   }
   // ...then a ControlMessage per moved endpoint; the recipient establishes
   // its new connection and ACKs.
-  for (const auto& mv : moves) send_reconfigure(g, endpoint_worker(g, mv.node));
+  for (const int wk : g.owed) send_reconfigure(g, wk);
+}
+
+void Engine::finish_reconfig(McastGroup& g) {
+  g.reconfiguring = false;
+  const Duration took = cur_sim().now() - g.reconfig_start;
+  if (g.next) {
+    g.tree = std::move(*g.next);
+    g.next.reset();
+    g.controller->confirm(g.next_dstar);
+    if (trace_on()) {
+      tracer_.complete("mcast.switch", "mcast", g.src_worker,
+                       obs::kLaneControl, g.reconfig_start, took, 0, "dstar",
+                       static_cast<double>(g.next_dstar));
+    }
+    if (cur_sim().now() >= window_start_) {
+      ++report_.switches_completed;
+      report_.switch_time_total += took;
+      report_.switch_time_max = std::max(report_.switch_time_max, took);
+    }
+  } else {
+    report_.repair_time_total += took;
+    report_.repair_time_max = std::max(report_.repair_time_max, took);
+    if (trace_on()) {
+      // Recovery episodes are traced regardless of the sampling stride.
+      tracer_.complete("mcast.repair", "fault", g.src_worker,
+                       obs::kLaneControl, g.reconfig_start, took, 0, "group",
+                       static_cast<double>(g.id));
+    }
+  }
+  auto& sw = *workers_[static_cast<size_t>(g.src_worker)];
+  if (!sw.down) {
+    sw.paused = false;
+    pump_worker(sw);
+  }
+  maybe_start_repair(g);
+}
+
+void Engine::abort_reconfig(McastGroup& g) {
+  if (g.next) g.controller->abort_switch();
+  g.reconfiguring = false;
+  g.next.reset();
+  g.owed.clear();
+  workers_[static_cast<size_t>(g.src_worker)]->paused = false;
 }
 
 void Engine::send_reconfigure(McastGroup& g, int dst_worker) {
@@ -2292,8 +2350,9 @@ void Engine::send_reconfigure(McastGroup& g, int dst_worker) {
   hw.put_varint(g.id);
   hw.put_u8(kReconfigure);
   auto v = hw.take();
-  v.resize(std::max<size_t>(v.size(), cfg_.control_message_bytes), 0);
-  send_ctrl_packet(g.src_worker, dst_worker, make_bytes(std::move(v)));
+  v.resize(std::max(v.size(), kControlMessageBytes), 0);
+  send_ctrl_packet(g.src_worker, dst_worker, make_bytes(std::move(v)),
+                   g.change);
 }
 
 void Engine::send_control(int src_worker, int dst_worker, uint32_t group,
@@ -2304,12 +2363,15 @@ void Engine::send_control(int src_worker, int dst_worker, uint32_t group,
   hw.put_varint(group);
   hw.put_u8(kStatus);
   auto v = hw.take();
-  v.resize(std::max<size_t>(v.size(), cfg_.control_message_bytes), 0);
-  send_ctrl_packet(src_worker, dst_worker, make_bytes(std::move(v)));
+  v.resize(std::max(v.size(), kControlMessageBytes), 0);
+  send_ctrl_packet(src_worker, dst_worker, make_bytes(std::move(v)),
+                   /*change=*/0);
 }
 
-void Engine::send_ctrl_packet(int src_worker, int dst_worker, Bytes bytes) {
+void Engine::send_ctrl_packet(int src_worker, int dst_worker, Bytes bytes,
+                              uint64_t change) {
   rdma::Packet pkt{std::move(bytes), cur_sim().now(), 0};
+  pkt.gen = change;
   if (cfg_.variant.rdma()) {
     ctrl_qp(src_worker, dst_worker).transmit(rdma::Bundle{std::move(pkt)});
     return;
@@ -2331,35 +2393,31 @@ void Engine::handle_control(WorkerRt& w, rdma::Packet pkt) {
   const uint8_t ctype = r.get_u8();
   if (ctype != kReconfigure) return;  // StatusMessage: informational only
   // The endpoint tears down the old connection and establishes the new one
-  // (QP creation + handshake), then ACKs to the source.
+  // (QP creation + handshake), then ACKs to the source, echoing the
+  // change it answers.
   WorkerRt* wr = &w;
-  cur_sim().schedule_after(cfg_.switch_connection_setup, [this, wr, group] {
+  const uint64_t change = pkt.gen;
+  auto ack = [this, wr, group, change] {
     if (wr->down) return;  // crashed while establishing the connection
     ByteWriter hw(8);
     hw.put_u8(static_cast<uint8_t>(MsgKind::kAck));
     hw.put_varint(group);
     send_ctrl_packet(wr->id, groups_[group]->src_worker,
-                     make_bytes(hw.take()));
-  });
+                     make_bytes(hw.take()), change);
+  };
+  cur_sim().schedule_after(cfg_.switch_connection_setup, std::move(ack));
 }
 
-void Engine::handle_ack(uint32_t group, int src_worker) {
+void Engine::handle_ack(uint32_t group, int src_worker, uint64_t change) {
   auto& g = *groups_[group];
-  // Repair ACKs are attributed to the worker that sent them, so a crashed
+  // ACKs are attributed to the worker that sent them, so a crashed
   // worker's missing ACK can be written off (on_node_crash) instead of
-  // wedging the repair with the source paused forever.
-  if (g.repairing) {
-    auto& pw = g.repair_pending_workers;
-    auto it = std::find(pw.begin(), pw.end(), src_worker);
-    if (it != pw.end()) {
-      pw.erase(it);
-      ++g.repair_acks_got;
-      if (g.repair_acks_got >= g.repair_acks_needed) finish_repair(g);
-      return;
-    }
-  }
-  if (!g.switching) return;
-  if (++g.acks_got >= g.acks_needed) finish_switch(g);
+  // wedging the change with the source paused forever.
+  if (!g.reconfiguring || change != g.change) return;
+  auto it = std::find(g.owed.begin(), g.owed.end(), src_worker);
+  if (it == g.owed.end()) return;
+  g.owed.erase(it);
+  if (g.owed.empty()) finish_reconfig(g);
 }
 
 // ---------------------------------------------------------------------------
@@ -2424,10 +2482,13 @@ uint64_t Engine::drain_task(TaskRt& t) {
   while (auto d = t.in_queue->try_pop()) {
     if (!state::is_barrier(*d->tuple)) ++dropped;
   }
-  for (const auto& d : t.align_buf) {
+  for (const auto& d : t.stash) {
     if (!state::is_barrier(*d.tuple)) ++dropped;
   }
-  t.align_buf.clear();
+  t.stash.clear();
+  // Nothing waits on a dead fence: it closes without counting stall.
+  t.fenced.clear();
+  close_fence(t);
   return dropped;
 }
 
@@ -2451,12 +2512,10 @@ void Engine::on_node_crash(int node) {
   }
   for (auto& t : tasks_) {
     if (t->worker != node) continue;
-    // Queued and alignment-stashed deliveries died with the process.
+    // Queued and stashed deliveries died with the process.
     const uint64_t lost = drain_task(*t);
     tuples_lost_ += lost;
     if (c_lost_) c_lost_->inc(lost);
-    t->aligning = false;
-    t->barriers_from.clear();
     t->processing = false;
   }
   // A crash dooms any in-flight epoch (some snapshot or barrier is gone):
@@ -2466,39 +2525,17 @@ void Engine::on_node_crash(int node) {
   for (auto& gp : groups_) {
     auto& g = *gp;
     if (g.src_worker == node) {
-      // The group's source died: abandon any in-flight negotiation (its
-      // state lived in the dead process).
-      if (g.switching) {
-        g.switching = false;
-        g.pending_tree.reset();
-        if (g.controller) g.controller->abort_switch();
-      }
-      g.repairing = false;
+      // The group's source died: abandon the change in flight and the
+      // queued repairs (their state lived in the dead process).
+      abort_reconfig(g);
       g.repair_queue.clear();
-      g.repair_pending_workers.clear();
       continue;
     }
     // Excise the dead node from the dissemination tree.
-    if (g.worker_level) {
-      const int ep = g.endpoint_index[static_cast<size_t>(node)];
-      if (ep > 0) on_endpoint_crash(g, ep);
-    } else {
-      for (size_t e = 1; e < g.endpoints.size(); ++e) {
-        const int task = g.endpoints[e];
-        if (tasks_[static_cast<size_t>(task)]->worker == node) {
-          on_endpoint_crash(g, static_cast<int>(e));
-        }
-      }
-    }
-    // A worker that owed a repair ACK will never send it.
-    if (g.repairing) {
-      auto& pw = g.repair_pending_workers;
-      auto it = std::find(pw.begin(), pw.end(), node);
-      if (it != pw.end()) {
-        pw.erase(it);
-        if (g.repair_acks_needed > 0) --g.repair_acks_needed;
-        if (g.repair_acks_got >= g.repair_acks_needed) finish_repair(g);
-      }
+    for (const int ep : endpoints_on(g, node)) on_endpoint_crash(g, ep);
+    // A worker that owed an ACK will never send it.
+    if (g.reconfiguring && std::erase(g.owed, node) > 0 && g.owed.empty()) {
+      finish_reconfig(g);
     }
   }
 }
@@ -2513,19 +2550,18 @@ void Engine::on_node_restart(int node) {
   fabric_->set_node_up(node, true);
   // Fresh process: peers re-create their queue pairs empty.
   reset_qps_touching(node);
-  // Rejoin every multicast tree as a leaf at the shallowest open slot.
+  // Rejoin every multicast tree as a leaf at the shallowest open slot. A
+  // switch in flight was planned without the endpoint and would drop it
+  // again at install: abort it, like a crash does, and let the source
+  // send; the controller decides again at its next sample.
   for (auto& gp : groups_) {
     auto& g = *gp;
-    if (g.worker_level) {
-      const int ep = g.endpoint_index[static_cast<size_t>(node)];
-      if (ep > 0 && g.tree.removed(ep)) g.tree.restore(ep, repair_dstar(g));
-    } else {
-      for (size_t e = 1; e < g.endpoints.size(); ++e) {
-        const int task = g.endpoints[e];
-        if (tasks_[static_cast<size_t>(task)]->worker == node &&
-            g.tree.removed(static_cast<int>(e))) {
-          g.tree.restore(static_cast<int>(e), repair_dstar(g));
-        }
+    for (const int ep : endpoints_on(g, node)) {
+      if (!g.tree.removed(ep)) continue;
+      g.tree.restore(ep, repair_dstar(g));
+      if (g.next) {
+        abort_reconfig(g);
+        pump_worker(*workers_[static_cast<size_t>(g.src_worker)]);
       }
     }
   }
@@ -2561,24 +2597,32 @@ int Engine::repair_dstar(const McastGroup& g) const {
   return std::max(1, g.tree.max_out_degree());
 }
 
+std::vector<int> Engine::endpoints_on(const McastGroup& g, int node) const {
+  // A rescale shrink unmaps the endpoints it excises (endpoint_index -1)
+  // but leaves their slots in `endpoints`: those are endpoints no more.
+  std::vector<int> eps;
+  for (size_t e = 1; e < g.endpoints.size(); ++e) {
+    const int id = g.endpoints[e];
+    if (g.endpoint_index[static_cast<size_t>(id)] == static_cast<int>(e) &&
+        endpoint_worker(g, static_cast<int>(e)) == node) {
+      eps.push_back(static_cast<int>(e));
+    }
+  }
+  return eps;
+}
+
 void Engine::on_endpoint_crash(McastGroup& g, int dead_ep) {
   // A switch negotiated with the cluster as it was can no longer complete
   // (the dead endpoint may owe an ACK): abort it and let the controller
   // re-evaluate once the repair settles.
-  if (g.switching) {
-    g.switching = false;
-    g.pending_tree.reset();
-    if (g.controller) g.controller->abort_switch();
-    auto& sw = *workers_[static_cast<size_t>(g.src_worker)];
-    sw.paused = false;
-  }
+  if (g.next) abort_reconfig(g);
   if (g.tree.removed(dead_ep)) return;
   g.repair_queue.push_back(dead_ep);
   maybe_start_repair(g);
 }
 
 void Engine::maybe_start_repair(McastGroup& g) {
-  if (g.repairing || g.repair_queue.empty()) return;
+  if (g.reconfiguring || g.repair_queue.empty()) return;
   // Epoch fence: a barrier still inside the tree defers the repair (the
   // fence lifts when the barrier drains or the epoch aborts, at most one
   // checkpoint interval later — both re-invoke maybe_start_repair).
@@ -2597,44 +2641,7 @@ void Engine::maybe_start_repair(McastGroup& g) {
   const auto moves = g.tree.repair(dead_ep, repair_dstar(g));
   ++report_.tree_repairs;
   report_.repair_moves += moves.size();
-  g.repair_start = cur_sim().now();
-  g.repair_acks_needed = 0;
-  g.repair_acks_got = 0;
-  g.repair_pending_workers.clear();
-  for (const auto& mv : moves) {
-    const int wk = endpoint_worker(g, mv.node);
-    if (workers_[static_cast<size_t>(wk)]->down) continue;  // dead too
-    ++g.repair_acks_needed;
-    g.repair_pending_workers.push_back(wk);
-  }
-  g.repairing = true;
-  if (g.repair_acks_needed == 0) {
-    // Leaf crash (or every orphan dead): nothing to renegotiate.
-    finish_repair(g);
-    return;
-  }
-  auto& sw = *workers_[static_cast<size_t>(g.src_worker)];
-  if (!sw.down) sw.paused = true;
-  for (int wk : g.repair_pending_workers) send_reconfigure(g, wk);
-}
-
-void Engine::finish_repair(McastGroup& g) {
-  g.repairing = false;
-  const Duration took = cur_sim().now() - g.repair_start;
-  report_.repair_time_total += took;
-  report_.repair_time_max = std::max(report_.repair_time_max, took);
-  if (trace_on()) {
-    // Recovery episodes are traced regardless of the sampling stride.
-    tracer_.complete("mcast.repair", "fault", g.src_worker, obs::kLaneControl,
-                     g.repair_start, took, 0, "group",
-                     static_cast<double>(g.id));
-  }
-  auto& sw = *workers_[static_cast<size_t>(g.src_worker)];
-  if (!sw.down) {
-    sw.paused = false;
-    pump_worker(sw);
-  }
-  maybe_start_repair(g);
+  begin_reconfig(g, moves);
 }
 
 void Engine::maybe_replay(uint64_t root) {
@@ -2652,7 +2659,7 @@ void Engine::maybe_replay(uint64_t root) {
     }
     return;
   }
-  if (it->second.attempts >= cfg_.max_replays_per_root) {
+  if (it->second.attempts >= kMaxReplaysPerRoot) {
     ++report_.replays_exhausted;
     replays_.erase(it);
     return;
@@ -2674,31 +2681,10 @@ void Engine::maybe_replay(uint64_t root) {
   rep.gen = recovery_gen_;
   if (!tk.in_queue->try_push(std::move(rep))) {
     // Spout queue full: fail again, which re-enters maybe_replay (bounded
-    // by max_replays_per_root).
+    // by kMaxReplaysPerRoot).
     if (c_input_drops_) c_input_drops_->inc();
     acker_.fail(root);
   }
-}
-
-void Engine::finish_switch(McastGroup& g) {
-  g.tree = std::move(*g.pending_tree);
-  g.pending_tree.reset();
-  g.controller->confirm(g.pending_dstar);
-  g.switching = false;
-  const Duration took = cur_sim().now() - g.switch_start;
-  if (trace_on()) {
-    tracer_.complete("mcast.switch", "mcast", g.src_worker, obs::kLaneControl,
-                     g.switch_start, took, 0, "dstar",
-                     static_cast<double>(g.pending_dstar));
-  }
-  if (in_window() || cur_sim().now() >= window_start_) {
-    ++report_.switches_completed;
-    report_.switch_time_total += took;
-    report_.switch_time_max = std::max(report_.switch_time_max, took);
-  }
-  auto& sw = *workers_[static_cast<size_t>(g.src_worker)];
-  sw.paused = false;
-  pump_worker(sw);
 }
 
 // ---------------------------------------------------------------------------
@@ -2716,7 +2702,7 @@ void Engine::checkpoint_tick() {
     if (wp->down) return;
   }
   for (const auto& gp : groups_) {
-    if (gp->switching || gp->repairing) return;
+    if (gp->reconfiguring) return;
   }
   inject_epoch();
 }
@@ -2782,13 +2768,8 @@ void Engine::abort_epoch() {
                     primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
                     obs::kLaneControl, cur_sim().now(), epoch);
   }
-  // Lift the tree fences and release every aligning executor.
-  for (auto& gp : groups_) {
-    if (gp->barrier_pending > 0) {
-      gp->barrier_pending = 0;
-      maybe_start_repair(*gp);
-    }
-  }
+  // Lift the tree fences and release every fenced executor.
+  lift_tree_fences();
   ckpt_store_->abort(epoch);
   for (auto& tp : tasks_) tp->store.drop_pending_baseline();
   // A rescale riding this epoch dies with it: release the quiesced tasks
@@ -2797,21 +2778,17 @@ void Engine::abort_epoch() {
   // controller re-issues after its cooldown.
   if (elastic_on() && epoch == rescale_epoch_) cancel_rescale();
   for (auto& tp : tasks_) {
-    auto& t = *tp;
-    if (t.aligning) {
-      checkpoints_.stats().align_stall_total += cur_sim().now() - t.align_start;
-      t.aligning = false;
-      t.barriers_from.clear();
+    close_fence(*tp);
+    pump_task(*tp);
+  }
+}
+
+void Engine::lift_tree_fences() {
+  for (auto& gp : groups_) {
+    if (gp->barrier_pending > 0) {
+      gp->barrier_pending = 0;
+      maybe_start_repair(*gp);
     }
-    if (t.capturing) {
-      // An unaligned capture never stalled anything; just discard it.
-      t.capturing = false;
-      t.barriers_from.clear();
-      t.pending_snap = {};
-      t.captured.clear();
-      t.captured_bytes = 0;
-    }
-    pump_task(t);
   }
 }
 
@@ -2837,30 +2814,79 @@ void Engine::handle_barrier(TaskRt& t, Delivery d) {
     pump_task(t);
     return;
   }
-  if (t.spout) {
-    // Spouts have a single input (the injector) — aligned by definition.
-    complete_alignment(t, epoch);
+  // Fence the barrier's channel. The snapshot is cut at the last barrier
+  // when aligned and at the first when unaligned; the epoch is sealed at
+  // the last in both modes. A spout or single-channel task opens, cuts and
+  // seals on its one barrier.
+  const bool first = t.fenced.empty();
+  if (first) t.fence_start = cur_sim().now();
+  t.fenced.insert(chan_key(b.stream, state::barrier_src_task(b)));
+  const bool last = static_cast<int>(t.fenced.size()) >= t.expected_barriers;
+  const bool cut = cfg_.state.unaligned ? first : last;
+  Duration ser = 0;
+  if (cut) {
+    t.cut = ckpt_store_->take(t.store);
+    // The serializer walks every cell even when only a delta ships, so the
+    // CPU charge follows the FULL image size.
+    ser = cfg_.cost.ser_time(t.cut->stats.full_bytes);
+    const auto& op = topo_.ops[static_cast<size_t>(t.op)];
+    if (!t.spout && op.out_streams.empty()) checkpoints_.sink_seal(t.id);
+  }
+  // Seal: stage the cut and the captured channel state, then write them.
+  // The epoch watermark moves only now — while an unaligned fence is open,
+  // the staleness guard above must keep admitting this epoch's barriers.
+  std::optional<state::CheckpointStore::Snapshot> sealed;
+  uint64_t channel_bytes = 0;
+  if (last) {
+    t.epoch = epoch;
+    sealed = std::move(t.cut);
+    [[maybe_unused]] const bool staged =
+        checkpoints_.stage(t.id, epoch, sealed->stats);
+    assert(staged);  // the staleness guard above checked the same epoch
+    for (const auto& tup : t.captured) channel_bytes += tup.approx_bytes();
+    checkpoints_.stage_channel_state(t.id, epoch, std::move(t.captured),
+                                     channel_bytes);
+    close_fence(t);
+  }
+  TaskRt* traw = &t;
+  auto resume = [this, traw, epoch, sealed = std::move(sealed),
+                 channel_bytes]() mutable {
+    if (sealed) {
+      schedule_snapshot_write(*traw, epoch, std::move(*sealed), channel_bytes);
+      // Quiesce for a rescale riding this epoch: the snapshot write is
+      // already in flight (commit never waits on a quiesced task) and the
+      // barrier is forwarded, so holding the executor here leaves every
+      // pre-epoch tuple processed and nothing new admitted — per-channel
+      // FIFO then guarantees the rescaled operator's queues are empty of
+      // this epoch's data at commit.
+      if (elastic_on() && epoch == rescale_epoch_ &&
+          in_quiesce_set(traw->op)) {
+        traw->quiesced = true;
+      }
+    }
+    traw->processing = false;
+    pump_task(*traw);
+  };
+  if (!cut) {
+    resume();
     return;
   }
-  // Unaligned mode only changes behavior where alignment would stall:
-  // multi-channel tasks. Single-channel tasks complete on their first
-  // barrier in either mode.
-  if (unaligned_on() && t.expected_barriers > 1) {
-    handle_barrier_unaligned(t, std::move(d), epoch);
-    return;
+  // Serialization is the only synchronous cost the executor pays; the
+  // barrier is forwarded BEFORE the stash drains (downstream FIFO order),
+  // and the checkpoint-store write proceeds off the critical path.
+  t.cpu->execute(ser, sim::CpuCategory::kSerialization,
+                 [this, traw, epoch, resume = std::move(resume)]() mutable {
+                   forward_barrier(*traw, epoch, std::move(resume));
+                 });
+}
+
+void Engine::close_fence(TaskRt& t) {
+  if (!t.fenced.empty() && !cfg_.state.unaligned) {
+    checkpoints_.stats().align_stall_total += cur_sim().now() - t.fence_start;
   }
-  if (!t.aligning) {
-    t.aligning = true;
-    t.align_start = cur_sim().now();
-    t.barriers_from.clear();
-  }
-  t.barriers_from.insert(chan_key(b.stream, state::barrier_src_task(b)));
-  if (static_cast<int>(t.barriers_from.size()) >= t.expected_barriers) {
-    complete_alignment(t, epoch);
-    return;
-  }
-  t.processing = false;
-  pump_task(t);  // other channels keep flowing while we align
+  t.fenced.clear();
+  t.cut.reset();
+  t.captured.clear();
 }
 
 void Engine::schedule_snapshot_write(TaskRt& t, uint64_t epoch,
@@ -2873,114 +2899,6 @@ void Engine::schedule_snapshot_write(TaskRt& t, uint64_t epoch,
                          commit_epoch();
                        }
                      });
-}
-
-void Engine::complete_alignment(TaskRt& t, uint64_t epoch) {
-  if (t.aligning) {
-    checkpoints_.stats().align_stall_total += cur_sim().now() - t.align_start;
-    t.aligning = false;
-    t.barriers_from.clear();
-  }
-  t.epoch = epoch;
-  auto snap = ckpt_store_->take(t.store);
-  if (!checkpoints_.stage(t.id, epoch, snap.stats)) {
-    t.store.drop_pending_baseline();
-    t.processing = false;  // epoch died while we were aligning
-    pump_task(t);
-    return;
-  }
-  const auto& op = topo_.ops[static_cast<size_t>(t.op)];
-  if (!t.spout && op.out_streams.empty()) checkpoints_.sink_seal(t.id);
-  // Serialization is the only synchronous cost the executor pays; the
-  // barrier is forwarded BEFORE the stash drains (downstream FIFO order),
-  // and the checkpoint-store write proceeds off the critical path. The
-  // serializer walks every cell even when only a delta ships, so the CPU
-  // charge follows the FULL image size.
-  const Duration ser = cfg_.cost.ser_time(snap.stats.full_bytes);
-  TaskRt* traw = &t;
-  t.cpu->execute(
-      ser, sim::CpuCategory::kSerialization,
-      [this, traw, epoch, snap = std::move(snap)]() mutable {
-        forward_barrier(*traw, epoch, [this, traw, epoch, snap]() mutable {
-          schedule_snapshot_write(*traw, epoch, std::move(snap),
-                                  /*channel_bytes=*/0);
-          // Quiesce for a rescale riding this epoch: the snapshot write is
-          // already in flight (commit never waits on a quiesced task) and
-          // the barrier is forwarded, so holding the executor here leaves
-          // every pre-epoch tuple processed and nothing new admitted —
-          // per-channel FIFO then guarantees the rescaled operator's
-          // queues are empty of this epoch's data at commit.
-          if (elastic_on() && epoch == rescale_epoch_ &&
-              in_quiesce_set(traw->op)) {
-            traw->quiesced = true;
-          }
-          traw->processing = false;
-          pump_task(*traw);
-        });
-      });
-}
-
-void Engine::handle_barrier_unaligned(TaskRt& t, Delivery d, uint64_t epoch) {
-  const dsps::Tuple& b = *d.tuple;
-  const uint64_t chan = chan_key(b.stream, state::barrier_src_task(b));
-  if (!t.capturing) {
-    // FIRST barrier: snapshot NOW and forward the barrier immediately —
-    // the task never stalls waiting for its other channels. Anything that
-    // arrives on a not-yet-fenced channel until the last barrier lands is
-    // pre-barrier traffic: it is captured as channel state (and processed
-    // live, its effects landing outside the snapshot).
-    // NOTE: t.epoch moves only at finalize_capture — the staleness guard
-    // in handle_barrier (`epoch <= t.epoch`) must keep admitting this
-    // epoch's remaining barriers while the capture window is open.
-    t.capturing = true;
-    t.barriers_from.clear();
-    t.barriers_from.insert(chan);
-    t.captured.clear();
-    t.captured_bytes = 0;
-    t.pending_snap = ckpt_store_->take(t.store);
-    const auto& op = topo_.ops[static_cast<size_t>(t.op)];
-    if (op.out_streams.empty()) checkpoints_.sink_seal(t.id);
-    const Duration ser = cfg_.cost.ser_time(t.pending_snap.stats.full_bytes);
-    TaskRt* traw = &t;
-    t.cpu->execute(ser, sim::CpuCategory::kSerialization, [this, traw, epoch] {
-      forward_barrier(*traw, epoch, [this, traw] {
-        traw->processing = false;
-        pump_task(*traw);
-      });
-    });
-    return;
-  }
-  t.barriers_from.insert(chan);
-  if (static_cast<int>(t.barriers_from.size()) >= t.expected_barriers) {
-    finalize_capture(t, epoch);
-    return;
-  }
-  t.processing = false;
-  pump_task(t);
-}
-
-void Engine::finalize_capture(TaskRt& t, uint64_t epoch) {
-  t.capturing = false;
-  t.barriers_from.clear();
-  t.epoch = epoch;
-  auto snap = std::move(t.pending_snap);
-  t.pending_snap = {};
-  std::vector<dsps::Tuple> captured = std::move(t.captured);
-  const uint64_t channel_bytes = t.captured_bytes;
-  t.captured.clear();
-  t.captured_bytes = 0;
-  if (!checkpoints_.stage(t.id, epoch, snap.stats)) {
-    // Epoch died between the first and last barrier.
-    t.store.drop_pending_baseline();
-    t.processing = false;
-    pump_task(t);
-    return;
-  }
-  checkpoints_.stage_channel_state(t.id, epoch, std::move(captured),
-                                   channel_bytes);
-  schedule_snapshot_write(t, epoch, std::move(snap), channel_bytes);
-  t.processing = false;
-  pump_task(t);
 }
 
 void Engine::forward_barrier(TaskRt& t, uint64_t epoch,
@@ -3004,7 +2922,7 @@ void Engine::forward_barrier(TaskRt& t, uint64_t epoch,
     auto git = stream_to_group_.find(stream);
     if (git != stream_to_group_.end()) {
       auto& g = *groups_[git->second];
-      if (g.switching || g.repairing) {
+      if (g.reconfiguring) {
         // Never push a barrier into a reconfiguring tree — the epoch must
         // not straddle a topology change, so it aborts instead.
         schedule_epoch_abort(epoch);
@@ -3048,37 +2966,24 @@ void Engine::commit_epoch() {
   // All barrier copies were consumed before the last snapshot staged, but
   // a fence held by a copy lost to a racing crash must not outlive the
   // epoch: lift any straggler.
-  for (auto& gp : groups_) {
-    if (gp->barrier_pending > 0) {
-      gp->barrier_pending = 0;
-      maybe_start_repair(*gp);
-    }
-  }
+  lift_tree_fences();
   // A committed rescale epoch runs its migration now: every affected task
   // is quiesced with its state captured in THIS epoch's committed images,
-  // no group is switching/repairing, and no barrier is in any tree — the
+  // no group is reconfiguring, and no barrier is in any tree — the
   // one point in the protocol where the topology can change atomically.
   if (elastic_on() && epoch == rescale_epoch_) execute_rescale(epoch);
 }
 
 void Engine::do_recover() {
   checkpoints_.rewind_to_committed();
-  for (auto& gp : groups_) {
-    gp->barrier_pending = 0;
-    maybe_start_repair(*gp);
-  }
+  lift_tree_fences();
   const uint64_t committed = checkpoints_.last_committed();
   for (auto& tp : tasks_) {
     auto& t = *tp;
     if (!t.active) continue;  // retired by a rescale; nothing to roll back
-    t.aligning = false;
-    t.barriers_from.clear();
-    t.capturing = false;
-    t.pending_snap = {};
-    t.captured.clear();
-    t.captured_bytes = 0;
-    // Roll back: everything queued past the committed epoch is superseded
-    // by the log replay below (counted lost like any discarded instance).
+    // Roll back: everything queued or fenced past the committed epoch is
+    // superseded by the log replay below (counted lost like any discarded
+    // instance).
     const uint64_t lost = drain_task(t);
     tuples_lost_ += lost;
     if (c_lost_) c_lost_->inc(lost);

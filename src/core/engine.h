@@ -205,25 +205,26 @@ class Engine {
     uint64_t next_root = 0;
     uint64_t root_stride = 0;
 
-    // Checkpointing (src/state). Alignment is per input channel: a channel
-    // key is (stream << 32) | src_task, expected_barriers is the number of
-    // channels (sum of upstream parallelism over in-streams).
+    // Checkpointing (src/state). Barriers fence per input channel: a
+    // channel key is (stream << 32) | src_task, expected_barriers is the
+    // number of channels (sum of upstream parallelism over in-streams; 1
+    // for a spout, whose one input is the barrier injector).
     state::StateStore store;
-    uint64_t epoch = 0;  // last epoch this task snapshotted
+    uint64_t epoch = 0;  // last epoch this task sealed
     int expected_barriers = 0;
-    bool aligning = false;
-    Time align_start = 0;
-    std::unordered_set<uint64_t> barriers_from;  // channels already fenced
-    std::deque<Delivery> align_buf;  // post-barrier deliveries, stashed
-    // Unaligned barriers (cfg.state.unaligned): the snapshot is taken at
-    // the FIRST barrier and the barrier forwarded immediately — no stall.
-    // Until every channel fences, tuples on not-yet-fenced channels are
-    // recorded as channel state AND processed live; recovery re-applies
-    // them after restoring the snapshot.
-    bool capturing = false;
-    state::CheckpointStore::Snapshot pending_snap;
+    // The barrier fence, open from an epoch's first barrier at this task
+    // to its last. `fenced` holds the channels whose barrier arrived. The
+    // snapshot is `cut` at the last barrier when aligned and at the first
+    // when unaligned (cfg.state.unaligned), and sealed at the last in both
+    // modes. Aligned, a fenced channel's tuples belong to the next epoch
+    // and wait in `stash`. Unaligned, an unfenced channel's tuples arrive
+    // after the cut but belong to this epoch: they are processed live AND
+    // `captured` as channel state, which recovery re-applies.
+    std::unordered_set<uint64_t> fenced;
+    Time fence_start = 0;
+    std::deque<Delivery> stash;
+    std::optional<state::CheckpointStore::Snapshot> cut;
     std::vector<dsps::Tuple> captured;
-    uint64_t captured_bytes = 0;
     // Pristine snapshot taken at run start; recovery target while no
     // epoch has committed yet.
     std::vector<uint8_t> epoch0_image;
@@ -269,27 +270,25 @@ class Engine {
     multicast::ServiceTimeMonitor td_monitor;   // per-destination t_d
     multicast::ServiceTimeMonitor ts_monitor;   // once-per-tuple serialization
     multicast::ServiceTimeMonitor app_monitor;  // once-per-tuple source logic
-    // In-flight switch state.
-    bool switching = false;
-    Time switch_start = 0;
-    int pending_dstar = 0;
-    std::optional<multicast::MulticastTree> pending_tree;
-    size_t acks_needed = 0;
-    size_t acks_got = 0;
-
-    // In-flight tree repair after an endpoint crash. Repairs serialize per
-    // group: further crashes queue until the current repair is ACKed.
-    bool repairing = false;
-    Time repair_start = 0;
-    size_t repair_acks_needed = 0;
-    size_t repair_acks_got = 0;
-    std::vector<int> repair_pending_workers;  // workers owing a repair ACK
-    std::vector<int> repair_queue;            // dead endpoints awaiting repair
+    // The tree change in flight: a d* switch or a crash repair, one
+    // ACK-paced protocol (DESIGN.md §6). Changes are numbered; each moved
+    // endpoint's worker gets a reconfigure carrying `change` and owes an
+    // ACK echoing it (`owed`, one entry per reconfigure). A switch installs
+    // its planned tree `next` at out-degree `next_dstar` when the last ACK
+    // lands; a repair patched the tree when it began. Changes serialize:
+    // dead endpoints wait in `repair_queue` until the tree is free.
+    bool reconfiguring = false;
+    uint64_t change = 0;
+    Time reconfig_start = 0;
+    std::vector<int> owed;
+    std::optional<multicast::MulticastTree> next;
+    int next_dstar = 0;
+    std::vector<int> repair_queue;
 
     // Epoch fence: barrier copies still inside this tree. While positive,
-    // switches and repairs are deferred (and while switching/repairing, no
-    // barrier enters the tree), so an epoch is never split by a topology
-    // change. abort_epoch() zeroes it, bounding deferral at one interval.
+    // tree changes are deferred (and while reconfiguring, no barrier enters
+    // the tree), so an epoch is never split by a topology change.
+    // lift_tree_fences() zeroes it, bounding deferral at one interval.
     int barrier_pending = 0;
 
     // d* switch counts of controllers an elastic rescale replaced; added
@@ -397,40 +396,61 @@ class Engine {
   void mcast_track_received(uint64_t root_id);
   void comm_track_delivery(uint64_t root_id);
 
-  // --- dynamic switching -----------------------------------------------------
+  // --- tree changes: d* switches and crash repairs ---------------------------
   void start_monitoring();
+  // Feeds g's d* controller one sample; a decided switch is planned on a
+  // copy of the tree and started with begin_reconfig.
   void controller_sample(McastGroup& g);
-  void begin_switch(McastGroup& g,
-                    multicast::SelfAdjustingController::Decision d);
+  // Starts a tree change that re-parents `moves`: the source pauses and
+  // the live worker of each moved endpoint gets a reconfigure. A switch
+  // passes its planned tree and d* (and first announces itself to every
+  // endpoint); a repair has already patched g.tree. With no live worker
+  // to wait on, the change finishes at once.
+  void begin_reconfig(McastGroup& g, const std::vector<multicast::Move>& moves,
+                      std::optional<multicast::MulticastTree> next = {},
+                      int next_dstar = 0);
   void handle_control(WorkerRt& w, rdma::Packet pkt);
-  void handle_ack(uint32_t group, int src_worker);
-  void finish_switch(McastGroup& g);
+  // Crosses `src_worker` off the change in flight if the ACK answers it
+  // (`change`); an ACK for an aborted or finished change is ignored.
+  void handle_ack(uint32_t group, int src_worker, uint64_t change);
+  // The last ACK landed: a switch installs its planned tree; either kind
+  // records its episode, resumes the source and lets a queued repair in.
+  void finish_reconfig(McastGroup& g);
+  // Drops the change in flight without installing anything: the source
+  // is unpaused and a switch's controller decides again at its next
+  // sample. Late ACKs for it are stale.
+  void abort_reconfig(McastGroup& g);
   void send_control(int src_worker, int dst_worker, uint32_t group,
                     MsgKind kind);
-  // Reconfigure message (ctype = kReconfigure): the recipient establishes
-  // its new upstream connection and ACKs. Used by switching and repair.
+  // Reconfigure message (ctype = kReconfigure) for g's change in flight:
+  // the recipient establishes its new upstream connection and ACKs.
   void send_reconfigure(McastGroup& g, int dst_worker);
   // Ships a control-plane message between workers: over the control QP on
-  // RDMA variants, as a TCP message otherwise.
-  void send_ctrl_packet(int src_worker, int dst_worker, Bytes bytes);
+  // RDMA variants, as a TCP message otherwise. `change` rides along as
+  // simulation-side packet metadata (Packet::gen), not wire bytes.
+  void send_ctrl_packet(int src_worker, int dst_worker, Bytes bytes,
+                        uint64_t change);
 
   // --- fault injection & recovery -------------------------------------------
   void arm_faults();
   void reset_qps_touching(int node);
-  // Empties t's in-queue and alignment stash; returns the data tuples
-  // dropped (barriers are not counted).
+  // Empties t's in-queue and stash and drops its barrier fence uncounted
+  // (the process or incarnation that held it is gone); returns the data
+  // tuples dropped (barriers are not counted).
   uint64_t drain_task(TaskRt& t);
   void on_node_crash(int node);
   void on_node_restart(int node);
+  // Tree endpoints of g hosted on `node`: its worker (worker-level
+  // groups) or its tasks (instance-level). Never the source.
+  std::vector<int> endpoints_on(const McastGroup& g, int node) const;
   void on_endpoint_crash(McastGroup& g, int dead_ep);
+  // Starts the next queued repair once the tree is free and unfenced.
   void maybe_start_repair(McastGroup& g);
-  void finish_repair(McastGroup& g);
   int repair_dstar(const McastGroup& g) const;
   void maybe_replay(uint64_t root);
 
   // --- checkpointing (src/state) --------------------------------------------
   bool state_on() const { return cfg_.state.enabled; }
-  bool unaligned_on() const { return state_on() && cfg_.state.unaligned; }
   static uint64_t chan_key(uint32_t stream, int src_task) {
     return (static_cast<uint64_t>(stream) << 32) |
            static_cast<uint32_t>(src_task);
@@ -441,12 +461,15 @@ class Engine {
   // safe to call from deep inside delivery callbacks.
   void schedule_epoch_abort(uint64_t epoch);
   void abort_epoch();
+  // Zeroes every group's tree fence and starts the repairs it deferred.
+  void lift_tree_fences();
+  // Fences the barrier's channel at t; cuts the snapshot, forwards the
+  // barrier and seals the epoch where t's fence says so (see TaskRt).
   void handle_barrier(TaskRt& t, Delivery d);
-  void handle_barrier_unaligned(TaskRt& t, Delivery d, uint64_t epoch);
-  void complete_alignment(TaskRt& t, uint64_t epoch);
-  // Last barrier of an unaligned epoch: stage the first-barrier snapshot
-  // plus the captured channel tuples, then ship the write.
-  void finalize_capture(TaskRt& t, uint64_t epoch);
+  // Closes t's fence: its open time is align stall when aligned, and the
+  // fenced channels, cut and capture are dropped. The stash stays; it
+  // drains first when t resumes.
+  void close_fence(TaskRt& t);
   // Ships t's snapshot to the checkpoint store; drives write_complete ->
   // commit_epoch. `channel_bytes` rides the same write (in-flight channel
   // state).

@@ -238,8 +238,6 @@ void Engine::execute_rescale(uint64_t epoch) {
       const uint64_t stale = drain_task(t);
       report_.elastic.stale_drops += stale;
       if (c_el_stale_drops_) c_el_stale_drops_->inc(stale);
-      t.aligning = false;
-      t.barriers_from.clear();
       checkpoints_.erase_task(tid);
       ckpt_store_->erase_task(tid);
       ++retired;

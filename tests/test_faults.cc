@@ -3,9 +3,13 @@
 //      and delivery resumes;
 //  (b) roots un-acked because of a crash are replayed by the spout and
 //      eventually complete once the node is back;
-//  (c) two runs with the same fault plan produce byte-identical reports.
+//  (c) two runs with the same fault plan produce byte-identical reports;
+//  (d) d* switches and crash repairs share one ACK-paced protocol: an ACK
+//      counts only for the change in flight, and a restart during a
+//      switch keeps the restored endpoint in the tree.
 #include <gtest/gtest.h>
 
+#include "apps/ride_hailing_app.h"
 #include "core/engine.h"
 #include "faults/plan.h"
 
@@ -141,6 +145,66 @@ TEST(Faults, SameFaultSeedProducesIdenticalReports) {
   const std::string b = run_once();
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+// --- (d) tree changes under crashes ---------------------------------------
+
+// The fig13 ride-hailing shape (Whale, 8 nodes) starting from a chain
+// (d* = 1) with the d* controller sampling every 10 ms, so a scale-up
+// switch starts at 20 ms and a second one follows whenever the tree is
+// free.
+EngineConfig ride_switch_cfg() {
+  EngineConfig c;
+  c.cluster.num_nodes = 8;
+  c.cluster.cores_per_node = 16;
+  c.variant = SystemVariant::Whale();
+  c.seed = 42;
+  c.initial_dstar = 1;
+  c.controller.sample_interval = ms(10);
+  return c;
+}
+
+dsps::Topology ride_topo() {
+  apps::RideHailingAppParams p;
+  p.matching_parallelism = 32;
+  p.aggregation_parallelism = 4;
+  p.driver_spout_parallelism = 2;
+  p.request_rate = dsps::RateProfile::constant(3000);
+  p.driver_rate = dsps::RateProfile::constant(2000);
+  return apps::build_ride_hailing(p).topology;
+}
+
+TEST(Faults, StaleSwitchAckDoesNotEndRepair) {
+  // The switch begun at 20 ms sends w5 a reconfigure. Node 4 crashing at
+  // 50 ms aborts that switch, and the repair of the chain sends w5 a
+  // second reconfigure. The switch's ACK lands 30 ms into the repair; the
+  // repair must wait for its own ACK, one connection setup after it
+  // began.
+  EngineConfig c = ride_switch_cfg();
+  c.faults.crash(/*node=*/4, /*at=*/ms(50), /*restart_after=*/ms(50));
+  Engine e(c, ride_topo());
+  const auto& r = e.run(ms(100), ms(300));
+  ASSERT_GE(r.tree_repairs, 1u);
+  EXPECT_GE(r.repair_moves, 1u);
+  EXPECT_GE(r.repair_time_max, c.switch_connection_setup);
+}
+
+TEST(Faults, RestartDuringSwitchRejoinsTree) {
+  // Node 4 crashes at 5 ms: its repair runs 5-65 ms, a switch starts at
+  // 80 ms, and the restart at 100 ms lands in the middle of it. The
+  // restored endpoint must stay in the tree once the switch settles, or
+  // no tuple ever reaches every destination again.
+  EngineConfig c = ride_switch_cfg();
+  c.faults.crash(/*node=*/4, /*at=*/ms(5), /*restart_after=*/ms(95));
+  Engine e(c, ride_topo());
+  const auto& r = e.run(ms(100), ms(300));
+  EXPECT_EQ(r.node_restarts, 1u);
+  const auto& tree = e.group_tree(0);
+  for (int ep = 1; ep < tree.num_nodes(); ++ep) {
+    EXPECT_FALSE(tree.removed(ep)) << "endpoint " << ep;
+  }
+  EXPECT_EQ(tree.validate(), "");
+  EXPECT_GT(r.multicast_latency.count(), 0u);
 }
 
 // --- smaller fault-model checks -------------------------------------------

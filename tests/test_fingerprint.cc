@@ -1,7 +1,8 @@
 // Fingerprint-parity gate (promoted to ctest from the manual CI diff).
 //
 // results/fingerprints_baseline.txt pins the behavioural fingerprint of
-// eleven deterministic workloads: eight with checkpointing off and three
+// twelve deterministic workloads: nine with checkpointing off (among them
+// `faults/whale-switch-crash`, where a crash aborts a d* switch) and three
 // `state/*` probes with it on. Two properties are enforced here:
 //
 //  1. A run with the obs layer *disabled* (the default EngineConfig) is
@@ -62,13 +63,14 @@ TEST(FingerprintParity, DisabledObsMatchesBaseline) {
 }
 
 // Property 2: tracing-on (metrics off) == baseline for the heaviest Whale
-// probe, the fault/recovery probe and a checkpoint-recovery probe. The
-// tracer must never schedule an event, so `events=` in the fingerprint
-// cannot move.
+// probe, the fault/recovery probe, a checkpoint-recovery probe and the
+// switch-under-crash probe. The tracer must never schedule an event, so
+// `events=` in the fingerprint cannot move.
 TEST(FingerprintParity, TracingOnMatchesBaseline) {
   const auto baseline = load_baseline();
   for (const std::string label :
-       {"fig13/whale", "faults/whale-seeded", "state/remote-incremental"}) {
+       {"fig13/whale", "faults/whale-seeded", "state/remote-incremental",
+        "faults/whale-switch-crash"}) {
     const FingerprintLine got =
         run_fingerprint_probe(label, [](whale::core::EngineConfig& cfg) {
           cfg.obs.tracing_enabled = true;

@@ -1,6 +1,8 @@
 // Runs the fig13 ride-hailing workload (Whale variant) with the seeded
 // fault plan from the fingerprint suite, with the observability layer fully
-// enabled, and writes:
+// enabled, and writes the files below. The tree starts as a chain (d* = 1),
+// so the trace holds a d* switch (`mcast.switch`) beside the crash repairs
+// (`mcast.repair`): both kinds of tree change.
 //
 //   <out>/trace.json    Chrome trace_event JSON — load via chrome://tracing
 //                       or https://ui.perfetto.dev
@@ -32,6 +34,7 @@ int main(int argc, char** argv) {
   cfg.cluster.cores_per_node = 16;
   cfg.variant = core::SystemVariant::Whale();
   cfg.seed = 42;
+  cfg.initial_dstar = 1;
   cfg.enable_acking = true;
   cfg.replay_on_failure = true;
   cfg.ack_timeout = ms(120);

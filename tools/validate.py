@@ -80,8 +80,10 @@ obs directory (tools/obs_probe):
   trace.json    parses as Chrome trace_event JSON; the tuple lifecycle is
                 present (spout.emit, serialize, rdma_transfer, relay.forward,
                 dispatch, sink spans); at least one fault/repair episode
-                (fault.crash instant + mcast.repair complete span) is
-                recorded; complete events carry numeric ts/dur >= 0.
+                (fault.crash instant + mcast.repair complete span) and one
+                d* switch (mcast.switch complete span) are recorded, each
+                kind of tree change with a positive duration; complete
+                events carry numeric ts/dur >= 0.
   metrics.json  parses against the schema in DESIGN.md §9; snapshot times
                 are strictly increasing and spaced by snapshot_interval_ns;
                 the controller input series (src.transfer_queue,
@@ -630,19 +632,20 @@ def check_trace(path: pathlib.Path) -> None:
             fail(f"trace missing lifecycle span '{name}'")
     if "sink" not in by_name and "bolt.execute" not in by_name:
         fail("trace missing sink/bolt execution spans")
-    # At least one recovery episode: the crash instant plus the named
-    # repair span that re-parents the orphaned subtree.
-    for name in ("fault.crash", "mcast.repair"):
+    # At least one recovery episode (the crash instant plus the named
+    # repair span that re-parents the orphaned subtree) and one d* switch.
+    for name in ("fault.crash", "mcast.repair", "mcast.switch"):
         if name not in by_name:
-            fail(f"trace missing recovery span '{name}'")
+            fail(f"trace missing tree-change span '{name}'")
     # A leaf crash repairs in zero time (nothing to re-parent); at least one
-    # episode must show the connection re-establishment cost.
-    if not any(ev["ph"] == "X" and ev["dur"] > 0
-               for ev in by_name["mcast.repair"]):
-        fail("no repair span records a positive re-parenting duration")
+    # episode of each kind must show the connection re-establishment cost.
+    for name in ("mcast.repair", "mcast.switch"):
+        if not any(ev["ph"] == "X" and ev["dur"] > 0 for ev in by_name[name]):
+            fail(f"no {name} span records a positive duration")
     print(f"  trace.json    ok: {len(events)} events, "
           f"{len(by_name)} span names, "
-          f"{len(by_name['mcast.repair'])} repair episode(s)")
+          f"{len(by_name['mcast.repair'])} repair episode(s), "
+          f"{len(by_name['mcast.switch'])} switch(es)")
 
 
 def check_metrics(path: pathlib.Path) -> None:
