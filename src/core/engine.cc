@@ -287,37 +287,22 @@ void Engine::obs_setup() {
   // Verbs-layer fault visibility, summed over every (data + ctrl) QP:
   // READs cancelled by epoch-bumping resets, and packets sitting in QPs
   // wedged by a fabric refusal (destination down at transmit time).
-  const auto qp_sum = [this](auto&& per_qp) {
-    double n = 0.0;
-    for (const auto& wp : workers_) {
-      for (const auto& qp : wp->data_qps) {
-        if (qp) n += static_cast<double>(per_qp(*qp));
-      }
-      for (const auto& qp : wp->ctrl_qps) {
-        if (qp) n += static_cast<double>(per_qp(*qp));
-      }
-    }
-    return n;
-  };
-  metrics_.gauge("obs.qp_read_cancellations", [qp_sum] {
-    return qp_sum([](const rdma::QueuePair& q) { return q.reads_cancelled(); });
+  metrics_.gauge("obs.qp_read_cancellations", [this] {
+    return static_cast<double>(transport_->stats().reads_cancelled);
   });
-  metrics_.gauge("obs.qp_wedged_packets", [qp_sum] {
-    return qp_sum([](const rdma::QueuePair& q) { return q.wedged_packets(); });
+  metrics_.gauge("obs.qp_wedged_packets", [this] {
+    return static_cast<double>(transport_->stats().wedged_packets);
   });
 
   for (auto& wp : workers_) {
     WorkerRt* w = wp.get();
-    const std::string prefix = "worker" + std::to_string(w->id);
-    metrics_.gauge(prefix + ".transfer_queue", [w] {
-      return static_cast<double>(w->transfer_queue->size());
+    const int id = w->id;
+    const std::string prefix = "worker" + std::to_string(id);
+    metrics_.gauge(prefix + ".transfer_queue", [this, id] {
+      return static_cast<double>(transport_->queue_depth(id));
     });
-    metrics_.gauge(prefix + ".ring_bytes", [w] {
-      double b = 0.0;
-      for (const auto& qp : w->data_qps) {
-        if (qp && qp->ring()) b += static_cast<double>(qp->ring()->used());
-      }
-      return b;
+    metrics_.gauge(prefix + ".ring_bytes", [this, id] {
+      return static_cast<double>(transport_->ring_bytes(id));
     });
     metrics_.gauge("node" + std::to_string(w->node) + ".egress_bytes",
                    [this, w] {
@@ -360,9 +345,9 @@ void Engine::obs_setup() {
   // The controller's own input signal (Eq. 1-3): the source instance's
   // queue depth plus its worker's transfer queue.
   if (primary_src_worker_ >= 0) {
-    WorkerRt* sw = workers_[static_cast<size_t>(primary_src_worker_)].get();
-    metrics_.gauge("src.transfer_queue", [sw] {
-      return static_cast<double>(sw->transfer_queue->size());
+    metrics_.gauge("src.transfer_queue", [this] {
+      return static_cast<double>(
+          transport_->queue_depth(primary_src_worker_));
     });
   }
   if (primary_src_task_ >= 0) {
@@ -387,21 +372,8 @@ void Engine::obs_setup() {
 
 void Engine::obs_finalize() {
   if (!metrics_on()) return;
-  uint64_t qp_lost = 0;
-  uint64_t qp_drops = 0;
-  uint64_t inflight = 0;
-  for (const auto& wp : workers_) {
-    inflight += wp->transfer_queue->size();
-    for (const auto& qp : wp->data_qps) {
-      if (!qp) continue;
-      qp_lost += qp->packets_lost();
-      qp_drops += qp->fabric_drops();
-      inflight += qp->packets_pending();
-    }
-    for (const auto& sl : wp->slicers) {
-      if (sl) inflight += sl->buffered_tuples();
-    }
-  }
+  const Transport::Stats ts = transport_->stats();
+  uint64_t inflight = ts.inflight;
   for (const auto& tp : tasks_) {
     inflight += tp->in_queue->size();
     inflight += tp->stash.size();  // stashed behind an epoch barrier
@@ -409,24 +381,9 @@ void Engine::obs_finalize() {
     // will never drain) holds exactly one tuple instance in limbo.
     if (tp->processing) ++inflight;
   }
-  c_lost_qp_->set(qp_lost);
-  c_qp_fabric_drops_->set(qp_drops);
+  c_lost_qp_->set(ts.data_packets_lost);
+  c_qp_fabric_drops_->set(ts.fabric_drops);
   c_inflight_->set(inflight);
-}
-
-std::pair<Duration, sim::CpuCategory> Engine::source_send_cost(
-    uint64_t bytes) const {
-  switch (cfg_.variant.transport) {
-    case TransportMode::kTcp:
-      // Multi-layer protocol processing + kernel copy per message.
-      return {cfg_.cost.tcp_send_time(bytes), sim::CpuCategory::kProtocol};
-    case TransportMode::kRdmaSendRecv:
-      return {cfg_.cost.rdma_post, sim::CpuCategory::kRdmaPost};
-    case TransportMode::kRdmaOptimized:
-    default:
-      // Zero-copy append towards the sliced channel.
-      return {cfg_.cost.local_enqueue, sim::CpuCategory::kRdmaPost};
-  }
 }
 
 Engine::~Engine() = default;
@@ -449,23 +406,26 @@ void Engine::build_runtime() {
           node_sim(n), cfg_.cluster.cores_per_node));
     }
   }
+  transport_ = std::make_unique<Transport>(
+      cfg_, *fabric_,
+      [this](int node, std::string name) {
+        return std::make_unique<sim::CpuServer>(node_sim(node),
+                                                std::move(name),
+                                                core_pool(node));
+      },
+      [this](int dst, rdma::Packet pkt, int src) {
+        handle_bytes(*workers_[static_cast<size_t>(dst)], std::move(pkt), src);
+      },
+      [this](bool report, bool obs) {
+        if (report) ++tuples_lost_;
+        if (obs && c_lost_) c_lost_->inc();
+      });
   workers_.reserve(static_cast<size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
     auto wr = std::make_unique<WorkerRt>();
     wr->id = w;
     wr->node = w;  // one worker process per node (paper setup)
-    wr->send_cpu = std::make_unique<sim::CpuServer>(
-        node_sim(w), "w" + std::to_string(w) + ".send", core_pool(w));
-    wr->recv_cpu = std::make_unique<sim::CpuServer>(
-        node_sim(w), "w" + std::to_string(w) + ".recv", core_pool(w));
-    wr->transfer_queue = std::make_unique<sim::BoundedQueue<OutMsg>>(
-        cfg_.transfer_queue_capacity);
-    wr->data_qps.resize(static_cast<size_t>(num_workers));
-    wr->ctrl_qps.resize(static_cast<size_t>(num_workers));
-    wr->slicers.resize(static_cast<size_t>(num_workers));
     wr->op_local_tasks.resize(topo_.ops.size());
-    WorkerRt* raw = wr.get();
-    wr->transfer_queue->set_on_item([this, raw] { pump_worker(*raw); });
     workers_.push_back(std::move(wr));
   }
 
@@ -724,60 +684,6 @@ int Engine::endpoint_worker(const McastGroup& g, int node) const {
 int Engine::group_dstar(size_t g) const {
   const auto& grp = *groups_[g];
   return grp.controller ? grp.controller->dstar() : grp.tree.max_out_degree();
-}
-
-uint64_t Engine::transfer_queue_len(int worker) const {
-  return workers_[static_cast<size_t>(worker)]->transfer_queue->size();
-}
-
-rdma::QueuePair& Engine::data_qp(int src_worker, int dst_worker) {
-  return worker_qp(workers_[static_cast<size_t>(src_worker)]->data_qps,
-                   src_worker, dst_worker,
-                   cfg_.variant.transport == TransportMode::kRdmaOptimized
-                       ? rdma::Verb::kRead
-                       : rdma::Verb::kSendRecv);
-}
-
-rdma::QueuePair& Engine::ctrl_qp(int src_worker, int dst_worker) {
-  // Control always uses SEND/RECV (Sec. 4).
-  return worker_qp(workers_[static_cast<size_t>(src_worker)]->ctrl_qps,
-                   src_worker, dst_worker, rdma::Verb::kSendRecv);
-}
-
-rdma::QueuePair& Engine::worker_qp(
-    std::vector<std::unique_ptr<rdma::QueuePair>>& qps, int src_worker,
-    int dst_worker, rdma::Verb verb) {
-  auto& slot = qps[static_cast<size_t>(dst_worker)];
-  if (!slot) {
-    rdma::QpConfig qc = cfg_.qp;
-    qc.verb = verb;
-    auto& w = *workers_[static_cast<size_t>(src_worker)];
-    auto& dw = *workers_[static_cast<size_t>(dst_worker)];
-    slot = std::make_unique<rdma::QueuePair>(
-        *fabric_, cfg_.cost, qc,
-        rdma::QpEndpoint{w.node, w.send_cpu.get()},
-        rdma::QpEndpoint{dw.node, dw.recv_cpu.get()});
-    WorkerRt* draw = &dw;
-    slot->set_recv_handler([this, draw, src_worker](rdma::Packet p) {
-      handle_bytes(*draw, std::move(p), src_worker);
-    });
-  }
-  return *slot;
-}
-
-SlicingBuffer& Engine::slicer(int src_worker, int dst_worker) {
-  auto& w = *workers_[static_cast<size_t>(src_worker)];
-  auto& slot = w.slicers[static_cast<size_t>(dst_worker)];
-  if (!slot) {
-    rdma::QueuePair* qp = &data_qp(src_worker, dst_worker);
-    slot = std::make_unique<SlicingBuffer>(
-        sim_, cfg_.mms_bytes, cfg_.wtl,
-        [qp](rdma::Bundle& b) { return qp->transmit(b); },
-        [qp](std::function<void()> retry) {
-          qp->wait_for_space(std::move(retry));
-        });
-  }
-  return *slot;
 }
 
 // ---------------------------------------------------------------------------
@@ -1071,16 +977,12 @@ void Engine::finalize_report(Duration measure) {
 
   report_.fabric_messages_dropped = fabric_->messages_dropped();
   report_.fabric_bytes_dropped = fabric_->bytes_dropped();
-  report_.tuples_lost = tuples_lost_;
+  report_.tuples_lost = tuples_lost_ + transport_->stats().packets_lost;
   for (const auto& wp : workers_) {
-    for (const auto& qp : wp->data_qps) {
-      if (qp) report_.tuples_lost += qp->packets_lost();
-    }
-    for (const auto& qp : wp->ctrl_qps) {
-      if (qp) report_.tuples_lost += qp->packets_lost();
-    }
     // Nodes still down at the end of the run contribute their residual.
-    if (wp->down) report_.downtime_total += cur_sim().now() - wp->down_since;
+    if (!fabric_->node_up(wp->node)) {
+      report_.downtime_total += cur_sim().now() - wp->down_since;
+    }
   }
 
   // Per-stream routing rows: active strategy + window load spread over
@@ -1136,7 +1038,7 @@ void Engine::schedule_arrival(int task) {
   const Duration gap = from_seconds(t.spout_rng.exponential(rate));
   s.schedule_after(gap, [this, task] {
     auto& tk = *tasks_[static_cast<size_t>(task)];
-    if (workers_[static_cast<size_t>(tk.worker)]->down) {
+    if (!fabric_->node_up(tk.node)) {
       // Crashed worker emits nothing; keep polling so the spout resumes
       // after a restart.
       if (cur_sim().now() < window_end_) schedule_arrival(task);
@@ -1161,8 +1063,7 @@ void Engine::schedule_arrival(int task) {
       acker_.root_emitted(mut->root_id, cur_sim().now());
       // Checkpoint recovery replaces the acker's timeout replay for this
       // run: rewind comes from the epoch log, not the replay buffer.
-      const bool ckpt_replay = state_on() && cfg_.state.recover_from_checkpoint;
-      if (cfg_.replay_on_failure && !ckpt_replay &&
+      if (cfg_.replay_on_failure && !state_on() &&
           replays_.size() < kMaxTrackedTuples) {
         replays_.emplace(mut->root_id, ReplayState{*tuple, task, 0});
       }
@@ -1189,7 +1090,7 @@ void Engine::schedule_arrival(int task) {
 
 void Engine::pump_task(TaskRt& t) {
   if (t.processing) return;
-  if (workers_[static_cast<size_t>(t.worker)]->down) return;
+  if (!fabric_->node_up(t.node)) return;
   // Elastic fences: a retired instance never runs again; a quiesced one
   // holds still until its rescale epoch commits (or aborts). Plain bool
   // reads — no cost on elastic-off runs.
@@ -1431,7 +1332,7 @@ void Engine::deliver_local(TaskRt& dst,
                            std::shared_ptr<const dsps::Tuple> tup,
                            int src_task, uint64_t gen) {
   const bool bar = state_on() && state::is_barrier(*tup);
-  if (workers_[static_cast<size_t>(dst.worker)]->down) {
+  if (!fabric_->node_up(dst.node)) {
     if (bar) {
       // A barrier swallowed by a dead worker can never align: the epoch
       // is doomed, abort it promptly instead of stalling until the tick.
@@ -1507,7 +1408,6 @@ void Engine::send_point_to_point(TaskRt& t,
                                  std::shared_ptr<const dsps::Tuple> tup,
                                  PooledVec<int> dsts,
                                  InlineFunction done) {
-  auto& w = *workers_[static_cast<size_t>(t.worker)];
   const bool bar = state_on() && state::is_barrier(*tup);
   if (cfg_.enable_acking) {
     // Anchor every destination edge at emission time (Storm semantics).
@@ -1528,7 +1428,7 @@ void Engine::send_point_to_point(TaskRt& t,
   }
   TaskRt* traw = &t;
   auto after_local = [this, traw, tup, bar, remote = std::move(remote),
-                      done = std::move(done), &w]() mutable {
+                      done = std::move(done)]() mutable {
     if (remote.empty()) {
       done();
       return;
@@ -1557,8 +1457,7 @@ void Engine::send_point_to_point(TaskRt& t,
       // Both the serialization and the multi-layer packet processing are
       // charged to the upstream instance, matching Fig. 2d's breakdown.
       loop_async([this, traw, tup, idx = size_t{0}, rem = std::move(remote),
-                  track_root, bar,
-                  done = std::move(done), &w](auto next) mutable {
+                  track_root, bar, done = std::move(done)](auto next) mutable {
         if (idx >= rem.size()) {
           done();
           return;
@@ -1581,17 +1480,17 @@ void Engine::send_point_to_point(TaskRt& t,
         traw->cpu->execute(
             ser, sim::CpuCategory::kSerialization,
             [this, traw, bytes = std::move(bytes), d, next, track_root, ser,
-             bar, root = tup->root_id, &w] {
+             bar, root = tup->root_id] {
               if (trace_on() && tracer_.sampled(root)) {
                 tracer_.complete("serialize", "app", traw->worker,
                                  obs::kLaneApp, cur_sim().now() - ser, ser, root);
               }
-              const auto [send_cost, send_cat] = source_send_cost(
+              const auto [send_cost, send_cat] = transport_->send_cost(
                   bytes->size());
               traw->cpu->execute(
                   send_cost, send_cat,
                   [this, traw, bytes = std::move(bytes), d, next, track_root,
-                   bar, &w] {
+                   bar] {
                     OutMsg m;
                     m.bytes = std::move(bytes);
                     m.dst_worker = tasks_[static_cast<size_t>(d)]->worker;
@@ -1600,7 +1499,8 @@ void Engine::send_point_to_point(TaskRt& t,
                     m.src_task = traw->id;
                     m.barrier = bar;
                     m.gen = recovery_gen_;
-                    push_out(w, std::move(m), [next] { next(); });
+                    transport_->push(traw->worker, std::move(m),
+                                     [next] { next(); });
                   });
             });
       });
@@ -1641,9 +1541,8 @@ void Engine::send_point_to_point(TaskRt& t,
     // reference entries by address, which stay stable because the state
     // block never relocates.
     loop_async([this, traw, targets = std::move(targets), idx = size_t{0},
-                first_ser, track_root, bar,
-                root = tup->root_id, done = std::move(done),
-                &w](auto next) mutable {
+                first_ser, track_root, bar, root = tup->root_id,
+                done = std::move(done)](auto next) mutable {
       if (idx >= targets.size()) {
         done();
         return;
@@ -1654,15 +1553,15 @@ void Engine::send_point_to_point(TaskRt& t,
       const Duration d = (idx == 1) ? first_ser : kWocHeaderCost;
       traw->cpu->execute(
           d, sim::CpuCategory::kSerialization,
-          [this, traw, &tgt, next, track_root, bar, d, root, &w] {
+          [this, traw, &tgt, next, track_root, bar, d, root] {
             if (trace_on() && tracer_.sampled(root)) {
               tracer_.complete("serialize", "app", traw->worker,
                                obs::kLaneApp, cur_sim().now() - d, d, root);
             }
             const auto [send_cost, send_cat] =
-                source_send_cost(tgt.bytes->size());
+                transport_->send_cost(tgt.bytes->size());
             traw->cpu->execute(send_cost, send_cat,
-                               [this, traw, &tgt, next, track_root, bar, &w] {
+                               [this, traw, &tgt, next, track_root, bar] {
                                  OutMsg m;
                                  m.bytes = tgt.bytes;
                                  m.dst_worker = tgt.worker;
@@ -1671,8 +1570,8 @@ void Engine::send_point_to_point(TaskRt& t,
                                  m.src_task = traw->id;
                                  m.barrier = bar;
                                  m.gen = recovery_gen_;
-                                 push_out(w, std::move(m),
-                                          [next] { next(); });
+                                 transport_->push(traw->worker, std::move(m),
+                                                  [next] { next(); });
                                });
           });
     });
@@ -1704,7 +1603,6 @@ void Engine::send_point_to_point(TaskRt& t,
 void Engine::send_mcast(TaskRt& t, McastGroup& g,
                         std::shared_ptr<const dsps::Tuple> tup,
                         InlineFunction done) {
-  auto& w = *workers_[static_cast<size_t>(t.worker)];
   const uint64_t root = tup->root_id;
   const bool bar = state_on() && state::is_barrier(*tup);
   const bool tracked = root != 0 && (root % cfg_.tuple_sample_stride) == 0;
@@ -1737,7 +1635,7 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
   // transport-specific per-channel cost.
   g.ts_monitor.record(ser);
   g.td_monitor.record(cfg_.mcast_schedule_per_child +
-                      source_send_cost(dsps::TupleSerde::body_size(*tup))
+                      transport_->send_cost(dsps::TupleSerde::body_size(*tup))
                           .first);
 
   // Worker-level trees carry endpoint 0 in every envelope (WOC), so the
@@ -1760,15 +1658,15 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
                                                          bar, framed, body,
                                                          body_len, ser,
                                                          done = std::move(
-                                                             done),
-                                                         &w]() mutable {
+                                                             done)]() mutable {
     if (trace_on() && tracer_.sampled(root)) {
       tracer_.complete("serialize", "app", traw->worker, obs::kLaneApp,
                        cur_sim().now() - ser, ser, root);
     }
     // Local dispatch to destination instances hosted with the source.
-    const auto& locals =
-        w.op_local_tasks[static_cast<size_t>(graw->dst_op)];
+    const auto& locals = workers_[static_cast<size_t>(traw->worker)]
+                             ->op_local_tasks[static_cast<size_t>(
+                                 graw->dst_op)];
     for (int d : locals) {
       deliver_local(*tasks_[static_cast<size_t>(d)], tup, traw->id,
                     recovery_gen_);
@@ -1792,7 +1690,7 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
     }
     loop_async([this, traw, graw, root, tracked, bar, framed, body, body_len,
                 idx = size_t{0}, children = std::move(children),
-                done = std::move(done), &w](auto next) mutable {
+                done = std::move(done)](auto next) mutable {
       if (idx >= children.size()) {
         done();
         return;
@@ -1801,10 +1699,9 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
       // Each cascading destination costs the source its scheduling time
       // plus the transport's per-channel send cost — the d0 * t_d term
       // that makes large out-degrees choke the source (Eq. 1).
-      const auto [send_cost, send_cat] = source_send_cost(body_len);
+      const auto [send_cost, send_cat] = transport_->send_cost(body_len);
       traw->cpu->execute(cfg_.mcast_schedule_per_child + send_cost, send_cat,
-          [this, traw, graw, root, tracked, bar, framed, body, child_ep, next,
-           &w] {
+          [this, traw, graw, root, tracked, bar, framed, body, child_ep, next] {
             OutMsg m;
             m.bytes = graw->worker_level
                           ? framed  // shared buffer, refcount bump only
@@ -1817,168 +1714,10 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
             m.src_task = traw->id;
             m.barrier = bar;
             m.gen = recovery_gen_;
-            push_out(w, std::move(m), [next] { next(); });
+            transport_->push(traw->worker, std::move(m), [next] { next(); });
           });
     });
   });
-}
-
-void Engine::push_out(WorkerRt& w, OutMsg msg, InlineFunction done) {
-  WorkerRt* wr = &w;
-  loop_async([this, wr, m = std::move(msg),
-              done = std::move(done)](auto next) mutable {
-    if (wr->down) {
-      // The producing worker died (possibly while blocked on a full
-      // queue): the message is lost but the executor chain must unwind.
-      // Lost barriers are not data losses; the epoch aborts instead.
-      if (!m.barrier) {
-        ++tuples_lost_;
-        if (c_lost_) c_lost_->inc();
-      }
-      done();
-      return;
-    }
-    if (wr->transfer_queue->try_push(m)) {
-      pump_worker(*wr);
-      done();
-      return;
-    }
-    // Queue full: Storm-style backpressure — the producer stalls until the
-    // send loop frees a slot.
-    wr->transfer_queue->wait_for_space([next] { next(); });
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Worker send loop & transports
-// ---------------------------------------------------------------------------
-
-void Engine::pump_worker(WorkerRt& w) {
-  if (w.sending || w.paused || w.pump_waiting) return;
-  if (w.down || w.stalled) return;
-  if (w.transfer_queue->empty()) return;
-
-  // Under the optimized RDMA transport, a blocked slicing buffer (ring
-  // full) must stall the send loop so backpressure reaches the executors.
-  if (cfg_.variant.transport == TransportMode::kRdmaOptimized &&
-      !w.transfer_queue->front().relay) {
-    const auto& front = w.transfer_queue->front();
-    auto& sl = slicer(w.id, front.dst_worker);
-    if (sl.blocked()) {
-      w.pump_waiting = true;
-      WorkerRt* wr = &w;
-      sl.on_unblock([this, wr] {
-        wr->pump_waiting = false;
-        pump_worker(*wr);
-      });
-      return;
-    }
-  }
-
-  // Claim the send slot BEFORE popping: try_pop releases a blocked
-  // producer synchronously, and that producer may re-enter pump_worker.
-  w.sending = true;
-  auto msg = w.transfer_queue->try_pop();
-  if (!msg) {
-    w.sending = false;
-    return;
-  }
-  transmit_out(w, std::move(*msg));
-}
-
-void Engine::transmit_out(WorkerRt& w, OutMsg msg) {
-  WorkerRt* wr = &w;
-  auto resume = [this, wr] {
-    wr->sending = false;
-    pump_worker(*wr);
-  };
-  if (workers_[static_cast<size_t>(msg.dst_worker)]->down) {
-    // The connection to a crashed peer is in error state: the send fails
-    // and the message is dropped (the ack timeout recovers the root).
-    // A dropped barrier is not a data loss — its epoch aborts instead.
-    if (!msg.barrier) {
-      ++tuples_lost_;
-      if (c_lost_) c_lost_->inc();
-    }
-    resume();
-    return;
-  }
-  const uint64_t sz = msg.bytes->size();
-  rdma::Packet pkt{msg.bytes, msg.enqueued, msg.root_id};
-  pkt.src_task = msg.src_task;
-  pkt.barrier = msg.barrier;
-  pkt.gen = msg.gen;
-  const int dst_worker = msg.dst_worker;
-
-  switch (cfg_.variant.transport) {
-    case TransportMode::kTcp: {
-      // Protocol processing was charged to the producing executor
-      // (source_send_cost); the worker send thread only hands the message
-      // to the kernel/NIC. Receive-side protocol runs on the recv thread.
-      w.send_cpu->execute(
-          cfg_.cost.local_enqueue, sim::CpuCategory::kDispatch,
-          [this, wr, dst_worker, sz, bar = msg.barrier,
-           pkt = std::move(pkt), resume]() mutable {
-            auto& dw = *workers_[static_cast<size_t>(dst_worker)];
-            WorkerRt* draw = &dw;
-            const int src_worker = wr->id;
-            const bool sent = fabric_->transmit(
-                net::Transport::kTcp, wr->node, dw.node, sz,
-                [this, draw, sz, src_worker, pkt = std::move(pkt)]() mutable {
-                  draw->recv_cpu->execute(
-                      cfg_.cost.tcp_recv_time(sz), sim::CpuCategory::kProtocol,
-                      [this, draw, src_worker, pkt = std::move(pkt)]() mutable {
-                        handle_bytes(*draw, std::move(pkt), src_worker);
-                      });
-                });
-            // Dropped at fabric entry (partition / dead link): the message
-            // vanished without a delivery callback. tuples_lost_ is NOT
-            // bumped here to keep legacy reports unchanged; the obs layer
-            // accounts for it so conservation still balances.
-            if (!sent && c_lost_ && !bar) c_lost_->inc();
-            resume();
-          });
-      break;
-    }
-    case TransportMode::kRdmaSendRecv: {
-      auto& qp = data_qp(w.id, dst_worker);
-      rdma::Bundle b;
-      b.push_back(std::move(pkt));
-      qp.transmit(std::move(b), resume);
-      break;
-    }
-    case TransportMode::kRdmaOptimized: {
-      if (msg.relay) {
-        // Relay forwarding: the bundle was already assembled upstream, so
-        // it goes straight into the channel ring; ring-full stalls the
-        // send loop until the consumer's READ releases space.
-        w.send_cpu->execute(
-            cfg_.cost.local_enqueue, sim::CpuCategory::kDispatch,
-            [this, wr, dst_worker, pkt = std::move(pkt), resume]() mutable {
-              auto& qp = data_qp(wr->id, dst_worker);
-              rdma::Bundle b;
-              b.push_back(std::move(pkt));
-              loop_async([&qp, b = std::move(b), resume](auto next) mutable {
-                if (qp.transmit(b)) {
-                  resume();
-                } else {
-                  qp.wait_for_space([next] { next(); });
-                }
-              });
-            });
-        break;
-      }
-      // Hand the packet to the per-channel slicing buffer; a negligible
-      // enqueue cost on the send thread, the RNIC does the rest.
-      w.send_cpu->execute(cfg_.cost.local_enqueue, sim::CpuCategory::kDispatch,
-                          [this, wr, dst_worker, pkt = std::move(pkt),
-                           resume]() mutable {
-                            slicer(wr->id, dst_worker).add(std::move(pkt));
-                            resume();
-                          });
-      break;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1986,20 +1725,6 @@ void Engine::transmit_out(WorkerRt& w, OutMsg msg) {
 // ---------------------------------------------------------------------------
 
 void Engine::handle_bytes(WorkerRt& w, rdma::Packet pkt, int src_worker) {
-  if (w.down) {
-    // In-flight delivery racing a crash: the process it was addressed to
-    // no longer exists. Barriers vanish uncounted (their epoch aborts).
-    if (pkt.barrier) return;
-    ++tuples_lost_;
-    if (c_lost_) {
-      const MsgKind k = peek(*pkt.bytes).kind;
-      if (k == MsgKind::kInstanceData || k == MsgKind::kBatchData ||
-          k == MsgKind::kMcastData) {
-        c_lost_->inc();
-      }
-    }
-    return;
-  }
   const Envelope env = peek(*pkt.bytes);
   switch (env.kind) {
     case MsgKind::kInstanceData:
@@ -2036,7 +1761,7 @@ void Engine::dispatch_instance(WorkerRt& w, rdma::Packet pkt) {
   WorkerRt* wr = &w;
   const Duration cost =
       cfg_.cost.deser_time(sz) + cfg_.cost.dispatch_per_tuple;
-  w.recv_cpu->execute(
+  transport_->recv_cpu(w.id).execute(
       cost, sim::CpuCategory::kSerialization,
       [this, wr, cost, pkt = std::move(pkt)] {
         const Envelope env = peek(*pkt.bytes);
@@ -2064,21 +1789,20 @@ void Engine::dispatch_batch(WorkerRt& w, rdma::Packet pkt) {
       cfg_.cost.deser_time(sz) +
       cfg_.cost.dispatch_per_tuple * static_cast<Duration>(m.dst_tasks.size());
   WorkerRt* wr = &w;
-  w.recv_cpu->execute(cost, sim::CpuCategory::kSerialization,
-                      [this, wr, cost, src = pkt.src_task, gen = pkt.gen,
-                       m = std::move(m)]() mutable {
-                        auto tup = std::allocate_shared<const dsps::Tuple>(
-                            SlabAllocator<dsps::Tuple>{}, std::move(m.tuple));
-                        if (trace_on() && tracer_.sampled(tup->root_id)) {
-                          tracer_.complete("dispatch", "recv", wr->id,
-                                           obs::kLaneRecv, cur_sim().now() - cost,
-                                           cost, tup->root_id);
-                        }
-                        for (int32_t d : m.dst_tasks) {
-                          deliver_local(*tasks_[static_cast<size_t>(d)], tup,
-                                        src, gen);
-                        }
-                      });
+  transport_->recv_cpu(w.id).execute(
+      cost, sim::CpuCategory::kSerialization,
+      [this, wr, cost, src = pkt.src_task, gen = pkt.gen,
+       m = std::move(m)]() mutable {
+        auto tup = std::allocate_shared<const dsps::Tuple>(
+            SlabAllocator<dsps::Tuple>{}, std::move(m.tuple));
+        if (trace_on() && tracer_.sampled(tup->root_id)) {
+          tracer_.complete("dispatch", "recv", wr->id, obs::kLaneRecv,
+                           cur_sim().now() - cost, cost, tup->root_id);
+        }
+        for (int32_t d : m.dst_tasks) {
+          deliver_local(*tasks_[static_cast<size_t>(d)], tup, src, gen);
+        }
+      });
 }
 
 void Engine::dispatch_mcast(WorkerRt& w, rdma::Packet pkt,
@@ -2099,7 +1823,7 @@ void Engine::dispatch_mcast(WorkerRt& w, rdma::Packet pkt,
   McastGroup* graw = &g;
   const int ep = my_endpoint;
   const Duration deser = cfg_.cost.deser_time(sz);
-  w.recv_cpu->execute(
+  transport_->recv_cpu(w.id).execute(
       deser, sim::CpuCategory::kSerialization,
       [this, wr, graw, ep, deser, pkt = std::move(pkt), e] {
         ByteReader r(payload_of(*pkt.bytes, e));
@@ -2114,7 +1838,7 @@ void Engine::dispatch_mcast(WorkerRt& w, rdma::Packet pkt,
               wr->op_local_tasks[static_cast<size_t>(graw->dst_op)];
           const Duration d = cfg_.cost.dispatch_per_tuple *
                              static_cast<Duration>(locals.size());
-          wr->recv_cpu->execute(d, sim::CpuCategory::kDispatch, [] {});
+          transport_->recv_cpu(wr->id).execute(d, sim::CpuCategory::kDispatch);
           for (int t : locals) {
             deliver_local(*tasks_[static_cast<size_t>(t)], tup,
                           graw->src_task, pkt.gen);
@@ -2155,21 +1879,19 @@ void Engine::relay_mcast(WorkerRt& w, McastGroup& g, int my_endpoint,
     // along so downstream hops land in the same trace track; the comm
     // tracker ignores relayed ids (its guards key on the source worker).
     if (trace_on()) m.root_id = pkt.id;
+    sim::CpuServer& recv = transport_->recv_cpu(w.id);
     if (trace_on() && tracer_.sampled(pkt.id)) {
       WorkerRt* wr = &w;
       const Duration fwd = cfg_.cost.local_enqueue;
       const uint64_t root = pkt.id;
-      w.recv_cpu->execute(fwd, sim::CpuCategory::kDispatch,
-                          [this, wr, fwd, root] {
-                            tracer_.complete("relay.forward", "recv", wr->id,
-                                             obs::kLaneRecv, cur_sim().now() - fwd,
-                                             fwd, root);
-                          });
+      recv.execute(fwd, sim::CpuCategory::kDispatch, [this, wr, fwd, root] {
+        tracer_.complete("relay.forward", "recv", wr->id, obs::kLaneRecv,
+                         cur_sim().now() - fwd, fwd, root);
+      });
     } else {
-      w.recv_cpu->execute(cfg_.cost.local_enqueue, sim::CpuCategory::kDispatch,
-                          [] {});
+      recv.execute(cfg_.cost.local_enqueue, sim::CpuCategory::kDispatch);
     }
-    push_out(w, std::move(m), [] {});
+    transport_->push(w.id, std::move(m), [] {});
   }
 }
 
@@ -2235,7 +1957,7 @@ void Engine::controller_sample(McastGroup& g) {
   // Epoch fence: never start a switch while a barrier is inside the tree
   // (the controller simply re-samples at the next tick).
   if (g.barrier_pending > 0) return;
-  if (workers_[static_cast<size_t>(g.src_worker)]->down) return;
+  if (!worker_up(g.src_worker)) return;
   auto& src = *tasks_[static_cast<size_t>(g.src_task)];
   const double lambda = g.stream_monitor->rate_tps(cur_sim().now());
   const Duration td = g.td_monitor.has_estimate()
@@ -2278,16 +2000,16 @@ void Engine::begin_reconfig(McastGroup& g,
   g.owed.clear();
   for (const auto& mv : moves) {
     const int wk = endpoint_worker(g, mv.node);
-    if (!workers_[static_cast<size_t>(wk)]->down) g.owed.push_back(wk);
+    if (worker_up(wk)) g.owed.push_back(wk);
   }
   if (g.owed.empty()) {
     // A leaf crash (or every orphan dead): nothing to renegotiate.
     finish_reconfig(g);
     return;
   }
-  // Pause the source worker's data output (Thm. 4's v_out -> 0 window).
-  auto& sw = *workers_[static_cast<size_t>(g.src_worker)];
-  if (!sw.down) sw.paused = true;
+  // Pause the source worker's data output (Thm. 4's v_out -> 0 window). A
+  // dead source comes back unpaused (on_node_restart).
+  transport_->set_paused(g.src_worker, true);
   // A switch announces itself with a StatusMessage to every endpoint...
   if (g.next) {
     for (size_t e = 1; e < g.endpoints.size(); ++e) {
@@ -2327,11 +2049,8 @@ void Engine::finish_reconfig(McastGroup& g) {
                        static_cast<double>(g.id));
     }
   }
-  auto& sw = *workers_[static_cast<size_t>(g.src_worker)];
-  if (!sw.down) {
-    sw.paused = false;
-    pump_worker(sw);
-  }
+  transport_->set_paused(g.src_worker, false);
+  transport_->pump(g.src_worker);
   maybe_start_repair(g);
 }
 
@@ -2340,7 +2059,7 @@ void Engine::abort_reconfig(McastGroup& g) {
   g.reconfiguring = false;
   g.next.reset();
   g.owed.clear();
-  workers_[static_cast<size_t>(g.src_worker)]->paused = false;
+  transport_->set_paused(g.src_worker, false);
 }
 
 void Engine::send_reconfigure(McastGroup& g, int dst_worker) {
@@ -2351,8 +2070,8 @@ void Engine::send_reconfigure(McastGroup& g, int dst_worker) {
   hw.put_u8(kReconfigure);
   auto v = hw.take();
   v.resize(std::max(v.size(), kControlMessageBytes), 0);
-  send_ctrl_packet(g.src_worker, dst_worker, make_bytes(std::move(v)),
-                   g.change);
+  transport_->send_control(g.src_worker, dst_worker, make_bytes(std::move(v)),
+                           g.change);
 }
 
 void Engine::send_control(int src_worker, int dst_worker, uint32_t group,
@@ -2364,26 +2083,8 @@ void Engine::send_control(int src_worker, int dst_worker, uint32_t group,
   hw.put_u8(kStatus);
   auto v = hw.take();
   v.resize(std::max(v.size(), kControlMessageBytes), 0);
-  send_ctrl_packet(src_worker, dst_worker, make_bytes(std::move(v)),
-                   /*change=*/0);
-}
-
-void Engine::send_ctrl_packet(int src_worker, int dst_worker, Bytes bytes,
-                              uint64_t change) {
-  rdma::Packet pkt{std::move(bytes), cur_sim().now(), 0};
-  pkt.gen = change;
-  if (cfg_.variant.rdma()) {
-    ctrl_qp(src_worker, dst_worker).transmit(rdma::Bundle{std::move(pkt)});
-    return;
-  }
-  auto& w = *workers_[static_cast<size_t>(src_worker)];
-  auto& dw = *workers_[static_cast<size_t>(dst_worker)];
-  WorkerRt* draw = &dw;
-  const size_t size = pkt.bytes->size();
-  fabric_->transmit(net::Transport::kTcp, w.node, dw.node, size,
-                    [this, draw, src_worker, pkt = std::move(pkt)]() mutable {
-                      handle_bytes(*draw, std::move(pkt), src_worker);
-                    });
+  transport_->send_control(src_worker, dst_worker, make_bytes(std::move(v)),
+                           /*change=*/0);
 }
 
 void Engine::handle_control(WorkerRt& w, rdma::Packet pkt) {
@@ -2395,15 +2096,15 @@ void Engine::handle_control(WorkerRt& w, rdma::Packet pkt) {
   // The endpoint tears down the old connection and establishes the new one
   // (QP creation + handshake), then ACKs to the source, echoing the
   // change it answers.
-  WorkerRt* wr = &w;
+  const int wk = w.id;
   const uint64_t change = pkt.gen;
-  auto ack = [this, wr, group, change] {
-    if (wr->down) return;  // crashed while establishing the connection
+  auto ack = [this, wk, group, change] {
+    if (!worker_up(wk)) return;  // crashed while establishing the connection
     ByteWriter hw(8);
     hw.put_u8(static_cast<uint8_t>(MsgKind::kAck));
     hw.put_varint(group);
-    send_ctrl_packet(wr->id, groups_[group]->src_worker,
-                     make_bytes(hw.take()), change);
+    transport_->send_control(wk, groups_[group]->src_worker,
+                             make_bytes(hw.take()), change);
   };
   cur_sim().schedule_after(cfg_.switch_connection_setup, std::move(ack));
 }
@@ -2439,42 +2140,16 @@ void Engine::arm_faults() {
   };
   h.stall_relay = [this](int n) {
     ++report_.relay_stalls;
-    workers_[static_cast<size_t>(n)]->stalled = true;
+    transport_->set_stalled(n, true);
   };
   h.unstall_relay = [this](int n) {
-    auto& w = *workers_[static_cast<size_t>(n)];
-    w.stalled = false;
-    pump_worker(w);
+    transport_->set_stalled(n, false);
+    transport_->pump(n);
   };
   injector_ = std::make_unique<faults::FaultInjector>(sim_, cfg_.faults,
                                                       std::move(h));
   injector_->set_tracer(&tracer_);
   injector_->arm();
-}
-
-void Engine::reset_qps_touching(int node) {
-  // A crash (or a restart, which comes back as a fresh process) tears down
-  // every queue pair whose peer is `node`, on both sides: buffered ring
-  // contents are lost, wedged READ fetch loops are released, and blocked
-  // producers retry against empty rings.
-  for (auto& wp : workers_) {
-    auto& w = *wp;
-    if (w.id == node) {
-      for (auto& qp : w.data_qps) {
-        if (qp) qp->reset();
-      }
-      for (auto& qp : w.ctrl_qps) {
-        if (qp) qp->reset();
-      }
-    } else {
-      if (w.data_qps[static_cast<size_t>(node)]) {
-        w.data_qps[static_cast<size_t>(node)]->reset();
-      }
-      if (w.ctrl_qps[static_cast<size_t>(node)]) {
-        w.ctrl_qps[static_cast<size_t>(node)]->reset();
-      }
-    }
-  }
 }
 
 uint64_t Engine::drain_task(TaskRt& t) {
@@ -2493,23 +2168,16 @@ uint64_t Engine::drain_task(TaskRt& t) {
 }
 
 void Engine::on_node_crash(int node) {
-  auto& w = *workers_[static_cast<size_t>(node)];
-  if (w.down) return;
+  if (!fabric_->node_up(node)) return;
   ++report_.node_crashes;
-  w.down = true;
-  w.down_since = cur_sim().now();
-  w.sending = false;
-  w.pump_waiting = false;
-  w.stalled = false;
+  // Down before the transfer-queue drain releases blocked producers: their
+  // retries must see the dead worker.
   fabric_->set_node_up(node, false);
+  workers_[static_cast<size_t>(node)]->down_since = cur_sim().now();
   // The process is gone: everything queued inside it is lost. The acker's
   // timeout turns those losses into failed (and possibly replayed) roots —
   // there is no explicit NACK, exactly like a real worker death.
-  while (auto m = w.transfer_queue->try_pop()) {
-    if (m->barrier) continue;  // barrier losses abort the epoch, not data
-    ++tuples_lost_;
-    if (c_lost_) c_lost_->inc();
-  }
+  transport_->crash(node);
   for (auto& t : tasks_) {
     if (t->worker != node) continue;
     // Queued and stashed deliveries died with the process.
@@ -2521,7 +2189,7 @@ void Engine::on_node_crash(int node) {
   // A crash dooms any in-flight epoch (some snapshot or barrier is gone):
   // abort it now so alignment elsewhere unblocks and fences lift.
   if (state_on()) abort_epoch();
-  reset_qps_touching(node);
+  transport_->reset_qps(node);
   for (auto& gp : groups_) {
     auto& g = *gp;
     if (g.src_worker == node) {
@@ -2541,15 +2209,15 @@ void Engine::on_node_crash(int node) {
 }
 
 void Engine::on_node_restart(int node) {
-  auto& w = *workers_[static_cast<size_t>(node)];
-  if (!w.down) return;
+  if (fabric_->node_up(node)) return;
   ++report_.node_restarts;
-  report_.downtime_total += cur_sim().now() - w.down_since;
-  w.down = false;
-  w.paused = false;  // any pause it owed died with the old process
+  report_.downtime_total +=
+      cur_sim().now() - workers_[static_cast<size_t>(node)]->down_since;
   fabric_->set_node_up(node, true);
+  // Any pause it owed died with the old process.
+  transport_->set_paused(node, false);
   // Fresh process: peers re-create their queue pairs empty.
-  reset_qps_touching(node);
+  transport_->reset_qps(node);
   // Rejoin every multicast tree as a leaf at the shallowest open slot. A
   // switch in flight was planned without the endpoint and would drop it
   // again at install: abort it, like a crash does, and let the source
@@ -2561,7 +2229,7 @@ void Engine::on_node_restart(int node) {
       g.tree.restore(ep, repair_dstar(g));
       if (g.next) {
         abort_reconfig(g);
-        pump_worker(*workers_[static_cast<size_t>(g.src_worker)]);
+        transport_->pump(g.src_worker);
       }
     }
   }
@@ -2569,7 +2237,7 @@ void Engine::on_node_restart(int node) {
   // whole topology back to the last committed epoch and replay the spouts'
   // uncommitted emissions. recovery_gen_ lets a newer restart supersede a
   // restore still in flight.
-  if (state_on() && cfg_.state.recover_from_checkpoint) {
+  if (state_on()) {
     const uint64_t gen = ++recovery_gen_;
     const Time start = cur_sim().now();
     const double bytes =
@@ -2577,7 +2245,7 @@ void Engine::on_node_restart(int node) {
     // The restarted node's receive CPU posts the read (on the remote
     // medium a one-sided READ: the state host's CPU stays idle).
     ckpt_store_->read_images(
-        w.recv_cpu.get(), node, [this, gen, node, start, bytes] {
+        &transport_->recv_cpu(node), node, [this, gen, node, start, bytes] {
           if (trace_on()) {
             tracer_.complete("state.restore", "fault", node,
                              obs::kLaneControl, start,
@@ -2586,7 +2254,7 @@ void Engine::on_node_restart(int node) {
           if (gen == recovery_gen_) do_recover();
         });
   }
-  pump_worker(w);
+  transport_->pump(node);
 }
 
 int Engine::repair_dstar(const McastGroup& g) const {
@@ -2647,12 +2315,12 @@ void Engine::maybe_start_repair(McastGroup& g) {
 void Engine::maybe_replay(uint64_t root) {
   if (!cfg_.replay_on_failure) return;
   // Checkpointed streams rewind from the epoch log instead (do_recover).
-  if (state_on() && cfg_.state.recover_from_checkpoint) return;
+  if (state_on()) return;
   auto it = replays_.find(root);
   if (it == replays_.end()) return;
   const int task = it->second.task;
   auto& tk = *tasks_[static_cast<size_t>(task)];
-  if (workers_[static_cast<size_t>(tk.worker)]->down) {
+  if (!fabric_->node_up(tk.node)) {
     // The spout's own worker is down; try again once it may be back.
     if (cur_sim().now() < window_end_) {
       cur_sim().schedule_after(ms(50), [this, root] { maybe_replay(root); });
@@ -2699,7 +2367,7 @@ void Engine::checkpoint_tick() {
   // Skip injection while the cluster is unstable — the epoch would only
   // abort again. Checkpointing resumes at the next tick.
   for (const auto& wp : workers_) {
-    if (wp->down) return;
+    if (!fabric_->node_up(wp->node)) return;
   }
   for (const auto& gp : groups_) {
     if (gp->reconfiguring) return;
@@ -3055,7 +2723,7 @@ void Engine::replay_spout_log(TaskRt& s, std::vector<dsps::Tuple> tuples) {
   loop_async([this, list, idx, st, gen](auto next) {
     if (gen != recovery_gen_) return;  // a newer recovery owns the rewind
     if (*idx >= list->size()) return;
-    if (workers_[static_cast<size_t>(st->worker)]->down) return;
+    if (!fabric_->node_up(st->node)) return;
     auto tup = std::make_shared<dsps::Tuple>((*list)[*idx]);
     tup->root_emit_time = cur_sim().now();
     Delivery d{tup, 0};

@@ -3,12 +3,12 @@
 //
 // Runtime architecture (mirrors Storm's): one worker *process* per node;
 // each worker hosts the *executors* (one CPU server each) of the tasks
-// placed on it plus a send thread and a receive thread; executors feed a
-// bounded transfer queue (capacity Q) drained by the send thread into the
-// transport (kernel TCP, naive RDMA SEND/RECV, or Whale's sliced one-sided
-// READ channels). All-grouped streams can be disseminated through a
-// multicast structure (sequential / binomial / self-adjusting non-blocking
-// tree) whose relays forward raw bytes without re-serialization.
+// placed on it; executors feed the worker's transfer queue, which the
+// worker's send thread drains into the transport (core/transport.h: kernel
+// TCP, naive RDMA SEND/RECV, or Whale's sliced one-sided READ channels).
+// All-grouped streams can be disseminated through a multicast structure
+// (sequential / binomial / self-adjusting non-blocking tree) whose relays
+// forward raw bytes without re-serialization.
 #pragma once
 
 #include <deque>
@@ -25,7 +25,7 @@
 #include "core/config.h"
 #include "core/message.h"
 #include "core/report.h"
-#include "core/slicing.h"
+#include "core/transport.h"
 #include "dsps/acker.h"
 #include "dsps/partitioning.h"
 #include "dsps/topology.h"
@@ -37,7 +37,6 @@
 #include "net/fabric.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rdma/verbs.h"
 #include "sim/cpu.h"
 #include "sim/parallel.h"
 #include "sim/queue.h"
@@ -80,30 +79,14 @@ class Engine {
     return psim_ ? psim_->node_partition_map() : std::vector<int>{};
   }
   net::Fabric& fabric() { return *fabric_; }
-  const EngineConfig& config() const { return cfg_; }
 
   // --- introspection (tests, monitors) ----------------------------------
-  int num_workers() const { return cfg_.cluster.num_nodes; }
   size_t num_tasks() const { return tasks_.size(); }
-  int task_worker(int task) const {
-    return tasks_[static_cast<size_t>(task)]->worker;
-  }
   size_t num_mcast_groups() const { return groups_.size(); }
   const multicast::MulticastTree& group_tree(size_t g) const {
     return groups_[g]->tree;
   }
   int group_dstar(size_t g) const;
-  uint64_t transfer_queue_len(int worker) const;
-  // Active partitioning strategy of a task's out-stream slot (tests).
-  const dsps::PartitioningStrategy& task_strategy(int task,
-                                                  size_t out_idx) const {
-    return *tasks_[static_cast<size_t>(task)]->strategies[out_idx];
-  }
-  // Cumulative tuples a stream delivered to destination instance `i`
-  // (whole-run, not window-gated; drives the load-imbalance gauges).
-  uint64_t stream_instance_load(int stream, size_t i) const {
-    return stream_instance_counts_[static_cast<size_t>(stream)][i];
-  }
 
   // --- observability -----------------------------------------------------
   // Configured from cfg_.obs at construction; both are inert (zero extra
@@ -136,29 +119,6 @@ class Engine {
   bool op_rescalable(int op) const;
 
  private:
-  // An outbound message waiting in a worker's transfer queue.
-  struct OutMsg {
-    Bytes bytes;
-    int dst_worker = 0;
-    Time enqueued = 0;
-    uint64_t root_id = 0;  // 0 = untracked
-    // Checkpointing metadata (simulation-side; not wire bytes). src_task
-    // identifies the producing executor — barrier alignment is per input
-    // channel (stream, upstream task). Barriers are never counted as data
-    // losses; a lost barrier just aborts its epoch at the next tick.
-    int32_t src_task = -1;
-    bool barrier = false;
-    // Dataflow incarnation at send time. A recovery bumps the engine's
-    // generation; copies still on the wire from the previous incarnation
-    // are dropped at processing time (their roots are replayed from the
-    // epoch log), like a restarted system severing its old connections.
-    uint64_t gen = 0;
-    // Relayed multicast traffic arrives already batched (the relay READ
-    // fetched a full bundle) and is forwarded immediately, bypassing the
-    // slicing buffer — re-batching per hop would add WTL per tree layer.
-    bool relay = false;
-  };
-
   // A tuple instance delivered to an executor; the ack edge links it into
   // the root's XOR ledger when acking is enabled (0 = untracked).
   struct Delivery {
@@ -230,21 +190,11 @@ class Engine {
     std::vector<uint8_t> epoch0_image;
   };
 
+  // A worker process's dataflow side; its threads, transfer queue and
+  // channels live in the transport. Liveness is Fabric::node_up.
   struct WorkerRt {
     int id = 0, node = 0;
-    std::unique_ptr<sim::CpuServer> send_cpu;
-    std::unique_ptr<sim::CpuServer> recv_cpu;
-    std::unique_ptr<sim::BoundedQueue<OutMsg>> transfer_queue;
-    bool sending = false;        // send loop holds one message in flight
-    bool paused = false;         // dynamic switching pauses the source
-    bool pump_waiting = false;   // subscribed to a blocked slicer
-    bool down = false;           // crashed (fault injection)
-    bool stalled = false;        // send loop frozen (relay stall fault)
-    Time down_since = 0;
-    // Indexed by destination worker; created lazily.
-    std::vector<std::unique_ptr<rdma::QueuePair>> data_qps;
-    std::vector<std::unique_ptr<rdma::QueuePair>> ctrl_qps;
-    std::vector<std::unique_ptr<SlicingBuffer>> slicers;
+    Time down_since = 0;  // last crash
     // Local task ids per operator (dispatch targets).
     std::vector<std::vector<int>> op_local_tasks;
   };
@@ -343,13 +293,9 @@ class Engine {
   void observe_tree_repairs(McastGroup& g);
   // The worker hosting tree node `node` of g.
   int endpoint_worker(const McastGroup& g, int node) const;
-  rdma::QueuePair& data_qp(int src_worker, int dst_worker);
-  rdma::QueuePair& ctrl_qp(int src_worker, int dst_worker);
-  // The src->dst QP in `qps` (one of src's per-destination tables),
-  // created with `verb` on first use.
-  rdma::QueuePair& worker_qp(std::vector<std::unique_ptr<rdma::QueuePair>>& qps,
-                             int src_worker, int dst_worker, rdma::Verb verb);
-  SlicingBuffer& slicer(int src_worker, int dst_worker);
+  bool worker_up(int worker) const {
+    return fabric_->node_up(workers_[static_cast<size_t>(worker)]->node);
+  }
 
   // --- data path -----------------------------------------------------------
   void schedule_arrival(int task);
@@ -372,18 +318,11 @@ class Engine {
   void send_mcast(TaskRt& t, McastGroup& g,
                   std::shared_ptr<const dsps::Tuple> tup,
                   InlineFunction done);
-  // Pushes to the worker's transfer queue, waiting for space when full.
-  void push_out(WorkerRt& w, OutMsg msg, InlineFunction done);
-  // Per-message send-side cost charged to the SOURCE EXECUTOR (the paper
-  // attributes packet processing to the upstream instance, Fig. 2d).
-  std::pair<Duration, sim::CpuCategory> source_send_cost(
-      uint64_t bytes) const;
   void deliver_local(TaskRt& dst, std::shared_ptr<const dsps::Tuple> tup,
                      int src_task, uint64_t gen);
 
-  // --- send/receive loops ---------------------------------------------------
-  void pump_worker(WorkerRt& w);
-  void transmit_out(WorkerRt& w, OutMsg msg);
+  // --- receive path ----------------------------------------------------------
+  // The transport's receive hook: demuxes a live worker's packet by kind.
   void handle_bytes(WorkerRt& w, rdma::Packet pkt, int src_worker);
   void dispatch_instance(WorkerRt& w, rdma::Packet pkt);
   void dispatch_batch(WorkerRt& w, rdma::Packet pkt);
@@ -425,15 +364,9 @@ class Engine {
   // Reconfigure message (ctype = kReconfigure) for g's change in flight:
   // the recipient establishes its new upstream connection and ACKs.
   void send_reconfigure(McastGroup& g, int dst_worker);
-  // Ships a control-plane message between workers: over the control QP on
-  // RDMA variants, as a TCP message otherwise. `change` rides along as
-  // simulation-side packet metadata (Packet::gen), not wire bytes.
-  void send_ctrl_packet(int src_worker, int dst_worker, Bytes bytes,
-                        uint64_t change);
 
   // --- fault injection & recovery -------------------------------------------
   void arm_faults();
-  void reset_qps_touching(int node);
   // Empties t's in-queue and stash and drops its barrier fence uncounted
   // (the process or incarnation that held it is gone); returns the data
   // tuples dropped (barriers are not counted).
@@ -560,6 +493,8 @@ class Engine {
   // join before anything they touched is torn down.
   std::unique_ptr<sim::ParallelSimulation> psim_;
   std::unique_ptr<net::Fabric> fabric_;
+  // Worker threads, transfer queues and channels (core/transport.h).
+  std::unique_ptr<Transport> transport_;
   // Serializes cross-partition updates to report_ and the track maps on
   // parallel runs (see shared_guard()); never taken on serial runs.
   std::mutex shared_mu_;

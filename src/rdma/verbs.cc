@@ -7,6 +7,11 @@
 
 namespace whale::rdma {
 
+namespace {
+// Size of the READ request descriptor on the wire.
+constexpr uint64_t kReadRequestBytes = 16;
+}  // namespace
+
 QueuePair::QueuePair(net::Fabric& fabric, const net::CostModel& cost,
                      QpConfig config, QpEndpoint local, QpEndpoint remote)
     : fabric_(fabric),
@@ -86,7 +91,7 @@ void QueuePair::maybe_fetch() {
     // ...the request descriptor crosses the wire to the producer's RNIC...
     const bool req_sent = fabric_.transmit(
         net::Transport::kRdma, remote_.node, local_.node,
-        config_.read_request_bytes,
+        kReadRequestBytes,
         [this, epoch] {
           if (epoch != epoch_) {
             ++reads_cancelled_;

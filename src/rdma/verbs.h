@@ -114,8 +114,6 @@ struct QpConfig {
   uint64_t ring_capacity = 4 * 1024 * 1024;
   // Max bytes one READ fetches (the consumer batches sequential messages).
   uint64_t read_batch_max = 64 * 1024;
-  // Size of the READ request descriptor on the wire.
-  uint64_t read_request_bytes = 16;
 };
 
 class QueuePair {

@@ -72,8 +72,7 @@ void CheckpointStore::write(int task, uint64_t epoch,
   const uint64_t bytes = snap.stats.shipped_bytes + extra_bytes;
   if (!cfg_.remote) {
     fabric_.simulation().schedule_after(
-        store_transfer_time(bytes, cfg_.store_write_gbps,
-                            cfg_.store_write_latency),
+        store_transfer_time(bytes, kLocalWriteGbps, cfg_.store_write_latency),
         [on_written = std::move(on_written)] { on_written(); });
     return;
   }
@@ -143,8 +142,7 @@ void CheckpointStore::read_images(sim::CpuServer* initiator, int node,
   const uint64_t bytes = committed_bytes_total();
   if (!cfg_.remote) {
     fabric_.simulation().schedule_after(
-        store_transfer_time(bytes, cfg_.store_read_gbps,
-                            cfg_.store_read_latency),
+        store_transfer_time(bytes, kLocalReadGbps, kLocalReadLatency),
         [on_data = std::move(on_data)] { on_data(); });
     return;
   }

@@ -46,6 +46,13 @@ namespace whale::state {
 
 class CheckpointStore {
  public:
+  // Local-medium calibration (sequential NVMe): a snapshot write takes
+  // cfg.store_write_latency + bytes / kLocalWriteGbps, a recovery read
+  // kLocalReadLatency + bytes / kLocalReadGbps.
+  static constexpr double kLocalWriteGbps = 2.0;
+  static constexpr double kLocalReadGbps = 4.0;
+  static constexpr Duration kLocalReadLatency = us(100);
+
   // Remote-medium counters; all stay 0 on the local medium.
   struct Stats {
     uint64_t writes_posted = 0;

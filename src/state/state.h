@@ -15,6 +15,8 @@ namespace whale::state {
 // dependency on whale_state.
 struct StateConfig {
   // Master switch. Off = no barriers, no snapshots, no recovery changes.
+  // On, a node restart restores the last committed epoch and rewinds the
+  // spouts to its source offsets; the acker's timeout replay is off.
   bool enabled = false;
 
   // Interval between epoch barrier injections at the spouts. Also the
@@ -23,18 +25,11 @@ struct StateConfig {
   // than one interval.
   Duration checkpoint_interval = ms(100);
 
-  // Simulated persistent store calibration (think local NVMe + fsync).
-  // Snapshot writes/reads are modeled as latency + bytes/bandwidth and
-  // charged asynchronously — the executor only pays serialization CPU.
-  double store_write_gbps = 2.0;   // GB/s sequential write
-  double store_read_gbps = 4.0;    // GB/s sequential read
+  // Fixed latency of a snapshot write to the local persistent store
+  // (think NVMe + fsync; bandwidths are CheckpointStore constants).
+  // Writes are charged asynchronously — the executor only pays
+  // serialization CPU.
   Duration store_write_latency = us(200);
-  Duration store_read_latency = us(100);
-
-  // When true (default), a node restart restores the last committed epoch
-  // and rewinds spouts to its source offsets instead of relying on the
-  // acker's timeout replay; acker replay is disabled for the run.
-  bool recover_from_checkpoint = true;
 
   // --- remote checkpoint-store medium (DESIGN.md §12) ----------------------
   // When true, snapshots go to RDMA-registered memory on a dedicated

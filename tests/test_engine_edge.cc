@@ -84,14 +84,18 @@ TEST(EngineEdge, HugeTuplesStillFlow) {
 }
 
 TEST(EngineEdge, TinyRingBackpressuresWithoutLoss) {
-  // Ring smaller than one MMS flush: transmissions must trickle through
-  // the ring-full/retry path, and every tuple still arrives.
+  // Ring smaller than one MMS flush, at a rate that keeps filling it:
+  // flushes block on the full ring, the backlog behind them outgrows the
+  // ring, and it must still drain in ring-sized work requests — every
+  // tuple reaches every destination.
   EngineConfig c = cfg();
   c.qp.ring_capacity = 8 * 1024;
   c.mms_bytes = 64 * 1024;
-  Engine e(c, broadcast_topo(500.0, 1024, 8));
+  Engine e(c, broadcast_topo(5000.0, 1024, 8));
   const auto& r = e.run(ms(100), ms(400));
-  EXPECT_GT(r.mcast_roots, 150u);
+  EXPECT_GE(static_cast<double>(r.mcast_roots),
+            0.95 * static_cast<double>(r.roots_emitted));
+  EXPECT_GT(r.multicast_latency.count(), 0u);
   EXPECT_EQ(r.queue_rejects, 0u);
 }
 

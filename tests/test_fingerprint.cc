@@ -96,7 +96,6 @@ TEST(FingerprintParity, DisabledCheckpointingMatchesBaseline) {
           cfg.state.enabled = false;
           cfg.state.checkpoint_interval = whale::ms(5);
           cfg.state.store_write_latency = whale::ms(50);
-          cfg.state.recover_from_checkpoint = false;
         });
     auto it = baseline.find(got.label);
     ASSERT_NE(it, baseline.end()) << got.label;

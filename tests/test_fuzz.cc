@@ -1,6 +1,6 @@
 // Randomized property tests ("fuzz-light"): serde round-trips over random
 // tuples, tree invariants under random switching sequences, ring buffer
-// invariants under random produce/consume traffic, channel delivery
+// invariants under random produce/consume traffic, stream-slicing delivery
 // conservation under random payload mixes, and a whole-engine sweep that
 // asserts tuple conservation under random topologies x random fault plans.
 #include <algorithm>
@@ -10,10 +10,10 @@
 
 #include "common/rng.h"
 #include "core/engine.h"
+#include "core/slicing.h"
 #include "dsps/serde.h"
 #include "faults/plan.h"
 #include "multicast/tree.h"
-#include "rdma/channel.h"
 #include "rdma/ring_buffer.h"
 
 namespace whale {
@@ -151,6 +151,10 @@ TEST(Fuzz, RingBufferInvariants) {
   }
 }
 
+// Stream slicing over a real queue pair: a random verb, MMS and ring size
+// against a burst of random packet sizes, all posted at t = 0 so the READ
+// ring fills and the slicer must split its backlog into ring-sized work
+// requests. Every packet arrives, in order.
 TEST(Fuzz, ChannelConservesAndOrdersMessages) {
   Rng rng(0x0DD);
   for (int iter = 0; iter < 15; ++iter) {
@@ -160,24 +164,24 @@ TEST(Fuzz, ChannelConservesAndOrdersMessages) {
     net::Fabric fabric(sim, spec);
     net::CostModel cost;
     sim::CpuServer a(sim, "a"), b(sim, "b");
-    rdma::ChannelConfig cfg;
-    cfg.verb = rng.bernoulli(0.5) ? rdma::Verb::kRead : rdma::Verb::kSendRecv;
-    cfg.mms_bytes = rng.next_below(8192);
-    cfg.wtl = ms(1);
-    cfg.qp.ring_capacity = 4096 + rng.next_below(1 << 16);
-    rdma::Channel ch(fabric, cost, cfg, rdma::QpEndpoint{0, &a},
-                     rdma::QpEndpoint{1, &b});
+    rdma::QpConfig qc;
+    qc.verb = rng.bernoulli(0.5) ? rdma::Verb::kRead : rdma::Verb::kSendRecv;
+    const uint64_t mms = rng.next_below(8192);
+    qc.ring_capacity = 4096 + rng.next_below(1 << 16);
+    rdma::QueuePair qp(fabric, cost, qc, rdma::QpEndpoint{0, &a},
+                       rdma::QpEndpoint{1, &b});
+    core::SlicingBuffer sl(sim, mms, ms(1), qp);
     std::vector<uint64_t> got;
-    ch.set_receiver([&](rdma::Packet p) { got.push_back(p.id); });
+    qp.set_recv_handler([&](rdma::Packet p) { got.push_back(p.id); });
     const uint64_t count = 50 + rng.next_below(300);
     for (uint64_t i = 0; i < count; ++i) {
       const uint64_t sz = 1 + rng.next_below(2000);
-      ch.send(rdma::Packet{
+      sl.add(rdma::Packet{
           std::make_shared<const std::vector<uint8_t>>(sz, 1), sim.now(), i});
     }
     sim.run();
-    ASSERT_EQ(got.size(), count) << "verb=" << to_string(cfg.verb)
-                                 << " mms=" << cfg.mms_bytes;
+    ASSERT_EQ(got.size(), count) << "verb=" << to_string(qc.verb)
+                                 << " mms=" << mms;
     for (uint64_t i = 0; i < count; ++i) ASSERT_EQ(got[i], i);
   }
 }
@@ -359,7 +363,6 @@ TEST(Fuzz, CheckpointAlignmentNeverDeadlocksUnderFaults) {
     cfg.seed = seed;
     cfg.state.enabled = true;
     cfg.state.checkpoint_interval = ms(20 + rng.next_below(60));
-    cfg.state.recover_from_checkpoint = rng.bernoulli(0.8);
     if (rng.bernoulli(0.5)) {
       cfg.enable_acking = true;
       cfg.replay_on_failure = true;

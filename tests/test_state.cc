@@ -648,7 +648,7 @@ TEST_P(CheckpointStoreMedia, StagedDeltaCommitsIntoImage) {
     EXPECT_GT(ckpt_.stats().write_bytes, 0u);
   } else {
     EXPECT_EQ(landed, state::store_transfer_time(
-                          shipped, cfg_.store_write_gbps,
+                          shipped, state::CheckpointStore::kLocalWriteGbps,
                           cfg_.store_write_latency));
     EXPECT_EQ(ckpt_.stats().write_bytes, 0u);
   }
