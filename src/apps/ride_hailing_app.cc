@@ -1,5 +1,7 @@
 #include "apps/ride_hailing_app.h"
 
+#include <memory>
+
 namespace whale::apps {
 
 BuiltApp build_ride_hailing(const RideHailingAppParams& p) {
@@ -13,9 +15,13 @@ BuiltApp build_ride_hailing(const RideHailingAppParams& p) {
       "passenger-requests",
       [wl] { return std::make_unique<workloads::PassengerRequestSpout>(wl); },
       /*parallelism=*/1, p.request_rate);
+  // One ownership table for every matching instance, elastic spawns too.
+  auto owners = std::make_shared<workloads::DriverOwnership>(wl.num_drivers);
   const int matching = b.add_bolt(
       "matching",
-      [wl] { return std::make_unique<workloads::MatchingBolt>(wl); },
+      [wl, owners] {
+        return std::make_unique<workloads::MatchingBolt>(wl, owners);
+      },
       p.matching_parallelism);
   const int aggregation = b.add_bolt(
       "aggregation",

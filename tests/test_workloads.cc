@@ -1,7 +1,21 @@
 // Workload generator and application-bolt tests: ride-hailing join
-// correctness and cost scaling, stock order-book matching, Zipf skew.
+// correctness (grid probe vs full scan), ownership and cost scaling, stock
+// order-book matching, Zipf skew.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <functional>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "apps/ride_hailing_app.h"
+#include "elastic/keyed.h"
+#include "state/state_store.h"
 #include "workloads/ridehailing.h"
 #include "workloads/stock.h"
 
@@ -36,20 +50,273 @@ TEST(RideHailing, SpoutsProduceWellFormedTuples) {
   EXPECT_EQ(r2.as_int(1), r1.as_int(1) + 1);  // monotone request ids
 }
 
+// The serialized "__keyed.drivers" cell of a matching instance.
+std::vector<uint8_t> drivers_cell(MatchingBolt& b) {
+  state::StateStore store;
+  b.register_state(store);
+  for (auto& [name, body] : state::parse_snapshot(store.snapshot())) {
+    if (name == std::string(elastic::kKeyedCellPrefix) + "drivers") {
+      return body;
+    }
+  }
+  ADD_FAILURE() << "no __keyed.drivers cell";
+  return {};
+}
+
 TEST(RideHailing, PrepareLoadsOwnedSliceOnly) {
   RideHailingParams p;
   p.num_drivers = 1000;
-  const int parallelism = 8;
-  size_t total = 0;
-  for (int i = 0; i < parallelism; ++i) {
-    MatchingBolt b(p);
-    b.prepare(ctx(i, parallelism));
-    total += b.stored_drivers();
-    // Roughly 1/8 of the drivers each.
-    EXPECT_GT(b.stored_drivers(), 60u);
-    EXPECT_LT(b.stored_drivers(), 250u);
+  apps::RideHailingAppParams app;
+  app.workload = p;
+  app.matching_parallelism = 8;
+  const auto built = apps::build_ride_hailing(app);
+  const auto& factory =
+      built.topology.ops[static_cast<size_t>(built.matching_op)].bolt_factory;
+  // Instances from the app's factory share one ownership table; standalone
+  // bolts build their own. The second parallelism asks the shared table
+  // for a new bucketing, as an elastic spawn does.
+  for (const int parallelism : {8, 3}) {
+    size_t total = 0;
+    for (int i = 0; i < parallelism; ++i) {
+      MatchingBolt standalone(p);
+      standalone.prepare(ctx(i, parallelism));
+      auto bolt = factory();
+      auto* shared = dynamic_cast<MatchingBolt*>(bolt.get());
+      ASSERT_NE(shared, nullptr);
+      shared->prepare(ctx(i, parallelism));
+
+      const size_t n = standalone.stored_drivers();
+      total += n;
+      // Roughly 1/parallelism of the drivers each.
+      EXPECT_GT(n, 500u / static_cast<size_t>(parallelism));
+      EXPECT_LT(n, 2000u / static_cast<size_t>(parallelism));
+      EXPECT_EQ(shared->stored_drivers(), n);
+      const auto cell = drivers_cell(standalone);
+      EXPECT_EQ(drivers_cell(*shared), cell);
+      // Every stored driver is one this instance owns.
+      ByteReader r(cell);
+      const auto entries = elastic::read_keyed_body(r);
+      EXPECT_EQ(entries.size(), n);
+      for (const auto& e : entries) {
+        EXPECT_EQ(e.key % static_cast<uint64_t>(parallelism),
+                  static_cast<uint64_t>(i));
+      }
+    }
+    EXPECT_EQ(total, 1000u);  // a partition: no overlap, no loss
   }
-  EXPECT_EQ(total, 1000u);  // a partition: no overlap, no loss
+}
+
+TEST(RideHailing, OwnershipTableBucketsEveryIdOnce) {
+  constexpr int kIds = 20000;
+  DriverOwnership owners(kIds);
+  for (const int parallelism : {1, 7, 300, 480}) {
+    std::vector<int> seen(kIds, 0);
+    int misplaced = 0;
+    for (int i = 0; i < parallelism; ++i) {
+      const auto ids = owners.owned(parallelism, i);
+      EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end(),
+                                   std::greater_equal<>()),
+                ids.end())
+          << "ids of instance " << i << " not ascending";
+      for (const int32_t id : ids) {
+        ASSERT_GE(id, 0);
+        ASSERT_LT(id, kIds);
+        ++seen[static_cast<size_t>(id)];
+        const uint64_t owner = dsps::value_hash(dsps::Value{int64_t{id}}) %
+                               static_cast<uint64_t>(parallelism);
+        if (owner != static_cast<uint64_t>(i)) ++misplaced;
+      }
+    }
+    EXPECT_EQ(misplaced, 0) << "parallelism " << parallelism;
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), kIds)
+        << "parallelism " << parallelism;
+  }
+  EXPECT_THROW(owners.owned(4, 4), std::invalid_argument);
+  EXPECT_THROW(owners.owned(4, -1), std::invalid_argument);
+  EXPECT_THROW(owners.owned(0, 0), std::invalid_argument);
+}
+
+TEST(RideHailing, MatchingRefusesNonPositiveRadiusByName) {
+  for (const double radius : {0.0, -1.0, std::nan("")}) {
+    RideHailingParams p;
+    p.radius_km = radius;
+    try {
+      MatchingBolt b(p);
+      ADD_FAILURE() << "accepted radius_km " << radius;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("radius_km"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// (request, driver, bit pattern of distance_sq), compared bit for bit.
+using Match = std::tuple<int64_t, int64_t, uint64_t>;
+
+std::vector<Match> emitted_matches(MatchingBolt& b, int64_t request,
+                                   double x, double y) {
+  dsps::Tuple t;
+  t.values = {dsps::Value{int64_t{kPassengerRequest}}, dsps::Value{request},
+              dsps::Value{x}, dsps::Value{y}};
+  dsps::Emitter e;
+  b.execute(t, e);
+  std::vector<Match> out;
+  for (auto& [idx, m] : e.take()) {
+    out.emplace_back(m.as_int(0), m.as_int(1),
+                     std::bit_cast<uint64_t>(m.as_double(2)));
+  }
+  return out;
+}
+
+// Reference join: every driver in id order, same distance expression.
+std::vector<Match> full_scan(
+    const std::map<int64_t, std::pair<double, double>>& drivers,
+    int64_t request, double rx, double ry, double radius) {
+  const double r2 = radius * radius;
+  std::vector<Match> out;
+  for (const auto& [id, pos] : drivers) {
+    const double dx = pos.first - rx;
+    const double dy = pos.second - ry;
+    const double d2 = dx * dx + dy * dy;
+    if (d2 <= r2) out.emplace_back(request, id, std::bit_cast<uint64_t>(d2));
+  }
+  return out;
+}
+
+// Seeded property: the grid probe emits exactly what a full scan of the
+// same slice emits (same drivers, in id order, d2 bit for bit) for radii
+// from 50 m to wider than the city, points on and outside the city's
+// edges, drivers moving across cells and back, new ids, and after a
+// snapshot/restore round trip.
+TEST(RideHailing, GridJoinEqualsFullScan) {
+  int on_radius = 0;   // reference matches with d2 == r2 exactly
+  int cross_cell = 0;  // reference matches outside the request's own cell
+  for (const double radius : {0.05, 0.7, 1.0, 3.0, 150.0}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("radius " + std::to_string(radius) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed * 7919 + static_cast<uint64_t>(radius * 100));
+      RideHailingParams p;
+      p.radius_km = radius;
+      p.num_drivers = static_cast<int>(rng.uniform_int(0, 2000));
+      const double city = p.city_km;
+      MatchingBolt b(p);
+      b.prepare(ctx(0, 1));  // preloads every id
+      std::map<int64_t, std::pair<double, double>> model;
+      auto update = [&](int64_t id, double x, double y) {
+        dsps::Tuple t;
+        t.values = {dsps::Value{int64_t{kDriverUpdate}}, dsps::Value{id},
+                    dsps::Value{x}, dsps::Value{y}};
+        dsps::Emitter e;
+        b.execute(t, e);
+        model[id] = {x, y};
+      };
+      // The city's edges, just and far outside it, and its interior.
+      auto coord = [&] {
+        switch (rng.uniform_int(0, 9)) {
+          case 0: return 0.0;
+          case 1: return city;
+          case 2: return rng.uniform(-2 * radius - 1, 0.0);
+          case 3: return rng.uniform(city, city + 2 * radius + 1);
+          case 4: return rng.uniform(-3 * city, 4 * city);
+          default: return rng.uniform(0.0, city);
+        }
+      };
+      auto pick = [&] {
+        auto it = model.begin();
+        std::advance(it, rng.uniform_int(0, static_cast<int64_t>(
+                                                model.size()) - 1));
+        return it;
+      };
+      int64_t next_request = 0;
+      int mismatches = 0;
+      auto check = [&](MatchingBolt& bolt, double x, double y) {
+        const int64_t req = next_request++;
+        const auto want = full_scan(model, req, x, y, radius);
+        const auto got = emitted_matches(bolt, req, x, y);
+        if (got != want && mismatches++ == 0) {
+          ADD_FAILURE() << "request at (" << x << ", " << y << ")\n  got  "
+                        << testing::PrintToString(got) << "\n  want "
+                        << testing::PrintToString(want);
+        }
+        for (const auto& [r, id, bits] : want) {
+          on_radius += std::bit_cast<double>(bits) == radius * radius;
+          const auto& [dx, dy] = model.at(id);
+          cross_cell += std::floor(dx / radius) != std::floor(x / radius) ||
+                        std::floor(dy / radius) != std::floor(y / radius);
+        }
+      };
+      std::vector<std::pair<double, double>> requests;
+      auto ask = [&](double x, double y) {
+        check(b, x, y);
+        requests.emplace_back(x, y);
+      };
+      auto point = [&] {
+        const double x = coord();
+        return std::pair{x, coord()};
+      };
+      // Within 1.5 radii of (x, y) on each axis: near a stored driver most
+      // requests match, many across a cell edge.
+      auto near = [&](double x, double y) {
+        const double nx = x + rng.uniform(-1.5 * radius, 1.5 * radius);
+        return std::pair{nx, y + rng.uniform(-1.5 * radius, 1.5 * radius)};
+      };
+
+      // Overwrite every preloaded driver so the model knows each position,
+      // then insert new ids, some exactly one radius from a request.
+      for (int64_t id = 0; id < p.num_drivers; ++id) {
+        const auto [x, y] = point();
+        update(id, x, y);
+      }
+      for (int k = 0; k < 20; ++k) {
+        const int64_t id = p.num_drivers + rng.uniform_int(0, 100);
+        const auto [x, y] = point();
+        update(id, x, y);
+      }
+      const int64_t edge = p.num_drivers + 1000;
+      update(edge, radius, 0.0);
+      update(edge + 1, 0.0, radius);
+      update(edge + 2, city, city - radius);
+      update(edge + 3, city + radius, city);
+      ask(0.0, 0.0);
+      ask(city, city);
+
+      for (int k = 0; k < 300; ++k) {
+        const auto [x, y] =
+            k % 2 == 0 ? point() : std::apply(near, pick()->second);
+        ask(x, y);
+      }
+      // Drivers move across cells and back.
+      for (int k = 0; k < 100; ++k) {
+        const auto it = pick();
+        const int64_t id = it->first;
+        const auto home = it->second;
+        const auto [mx, my] = std::apply(near, home);
+        update(id, mx, my);
+        const auto [ax, ay] = std::apply(near, home);
+        ask(ax, ay);
+        update(id, home.first, home.second);
+        const auto [bx, by] = std::apply(near, home);
+        ask(bx, by);
+      }
+
+      // A restore rebuilds the table and the index from the keyed cell.
+      state::StateStore store;
+      b.register_state(store);
+      const auto snap = store.snapshot();
+      MatchingBolt restored(p);
+      restored.prepare(ctx(0, 3));
+      state::StateStore restored_store;
+      restored.register_state(restored_store);
+      restored_store.restore(snap);
+      EXPECT_EQ(restored.stored_drivers(), model.size());
+      EXPECT_EQ(restored_store.snapshot(), snap);
+      for (const auto& [x, y] : requests) check(restored, x, y);
+      EXPECT_EQ(mismatches, 0);
+    }
+  }
+  EXPECT_GT(on_radius, 0);
+  EXPECT_GT(cross_cell, 100);
 }
 
 TEST(RideHailing, MatchEmitsOnlyDriversWithinRadius) {
