@@ -6,6 +6,7 @@
 #include "apps/stock_app.h"
 #include "core/engine.h"
 #include "faults/plan.h"
+#include "state/state_store.h"
 
 namespace whale::apps {
 
@@ -101,6 +102,93 @@ FingerprintLine probe_state(const std::string& label,
   return {"state/" + label, r.fingerprint()};
 }
 
+// Emits sequential ids and checkpoints the cursor.
+class SeqSpout : public dsps::Spout {
+ public:
+  dsps::Tuple next(Rng&) override {
+    dsps::Tuple t;
+    t.values.emplace_back(seq_++);
+    return t;
+  }
+  void register_state(state::StateStore& store) override {
+    store.register_cell(
+        "seq", [this](ByteWriter& w) { w.put_i64(seq_); },
+        [this](ByteReader& r) { seq_ = r.get_i64(); });
+  }
+
+ private:
+  int64_t seq_ = 0;
+};
+
+// Stateless: forwards every tuple after `cost` of work.
+class ForwardBolt : public dsps::Bolt {
+ public:
+  explicit ForwardBolt(Duration cost) : cost_(cost) {}
+  Duration execute(const dsps::Tuple& t, dsps::Emitter& out) override {
+    out.emit(t);
+    return cost_;
+  }
+
+ private:
+  Duration cost_;
+};
+
+class NopBolt : public dsps::Bolt {
+ public:
+  Duration execute(const dsps::Tuple&, dsps::Emitter&) override {
+    return us(2);
+  }
+};
+
+// Elastic rescaling of a broadcast destination: s -> fwd(1) =all=> dst(2)
+// -> sink on 6 nodes under full Whale. Two bursts grow dst and two lulls
+// shrink it, so its multicast group is rebuilt and repaired at rescale
+// commits while d* switches run (tests/test_elastic.cc runs the same job
+// under three variants).
+FingerprintLine probe_elastic_broadcast(const ConfigMutator& mutate) {
+  core::EngineConfig cfg;
+  cfg.cluster.num_nodes = 6;
+  cfg.variant = core::SystemVariant::Whale();
+  cfg.seed = 7;
+  cfg.executor_queue_capacity = 1024;
+  cfg.transfer_queue_capacity = 65536;
+  cfg.state.enabled = true;
+  cfg.state.checkpoint_interval = ms(50);
+  cfg.elastic.enabled = true;
+  cfg.elastic.poll_interval = ms(5);
+  cfg.elastic.up_backlog = 0.02;
+  cfg.elastic.down_backlog = 0.002;
+  cfg.elastic.sustain_up = 2;
+  cfg.elastic.sustain_down = 4;
+  cfg.elastic.cooldown = ms(60);
+  cfg.elastic.ewma_alpha = 0.5;
+  cfg.elastic.step = 1;
+  cfg.elastic.min_parallelism = 2;
+  cfg.elastic.max_parallelism = 4;
+  if (mutate) mutate(cfg);
+  auto rate = dsps::RateProfile::constant(300.0);
+  rate.then_at(ms(150), 6000.0)
+      .then_at(ms(300), 300.0)
+      .then_at(ms(450), 6000.0)
+      .then_at(ms(600), 100.0)
+      .then_at(ms(1100), 0.0);
+  dsps::TopologyBuilder b;
+  const int s = b.add_spout(
+      "s", [] { return std::make_unique<SeqSpout>(); }, 1, std::move(rate));
+  const int f = b.add_bolt(
+      "fwd", [] { return std::make_unique<ForwardBolt>(us(5)); }, 1);
+  const int d = b.add_bolt(
+      "dst", [] { return std::make_unique<ForwardBolt>(us(300)); }, 2);
+  const int k = b.add_bolt(
+      "sink", [] { return std::make_unique<NopBolt>(); }, 1);
+  b.connect(s, f, dsps::Grouping::kShuffle);
+  b.connect(f, d, dsps::Grouping::kAll);
+  b.connect(d, k, dsps::Grouping::kShuffle);
+  core::Engine e(cfg, b.build());
+  const auto& r = e.run(ms(50), ms(1200));
+  return {"state/elastic-broadcast", r.fingerprint()};
+}
+
 }  // namespace
 
 std::vector<std::string> fingerprint_probe_labels() {
@@ -108,7 +196,7 @@ std::vector<std::string> fingerprint_probe_labels() {
           "fig15/storm", "fig15/rdmc",       "fig15/whale",
           "faults/whale-seeded", "state/local-aligned",
           "state/local-unaligned", "state/remote-incremental",
-          "faults/whale-switch-crash"};
+          "faults/whale-switch-crash", "state/elastic-broadcast"};
 }
 
 FingerprintLine run_fingerprint_probe(const std::string& label,
@@ -139,6 +227,9 @@ FingerprintLine run_fingerprint_probe(const std::string& label,
   }
   if (label == "faults/whale-switch-crash") {
     return probe_switch_crash(mutate);
+  }
+  if (label == "state/elastic-broadcast") {
+    return probe_elastic_broadcast(mutate);
   }
   if (label == "state/local-aligned") {
     return probe_state("local-aligned", [](state::StateConfig&) {}, mutate);

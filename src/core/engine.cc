@@ -7,25 +7,16 @@
 
 #include "common/logging.h"
 #include "common/slab.h"
-#include "multicast/queue_model.h"
 
 namespace whale::core {
 
 namespace {
-
-// Control payload layout: u8 ctype. 0 = StatusMessage (informational),
-// 1 = reconfigure (recipient must re-establish a connection and ACK).
-enum CtrlType : uint8_t { kStatus = 0, kReconfigure = 1 };
 
 constexpr uint64_t kMaxTrackedTuples = 1 << 20;
 
 // Encoding the per-worker BatchTuple header around an already-serialized
 // body (worker-oriented communication reserializes nothing).
 constexpr Duration kWocHeaderCost = ns(600);
-// Wire size of a control-plane message (status or reconfigure).
-constexpr size_t kControlMessageBytes = 64;
-// Statistics monitoring unit of the stream-rate monitor (Sec. 4).
-constexpr Duration kMonitorUnit = ms(100);
 // Spout replays of one failed root before it is written off.
 constexpr int kMaxReplaysPerRoot = 3;
 
@@ -111,7 +102,15 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
         *fabric_, cfg_.cost, cfg_.state, /*host_node=*/cfg_.cluster.num_nodes);
   }
   build_runtime();
-  build_mcast_groups();
+  mcast_ = std::make_unique<McastGroups>(
+      cfg_, topo_,
+      McastGroups::Tasks{
+          op_tasks_,
+          [this](int t) { return tasks_[static_cast<size_t>(t)]->worker; },
+          [this](int t) {
+            return tasks_[static_cast<size_t>(t)]->in_queue->size();
+          }},
+      *fabric_, *transport_, tracer_, report_);
   // The "source instance" whose CPU/queue/egress the report tracks: the
   // source of the first all-grouped stream (any variant), else task 0.
   for (const auto& s : topo_.streams) {
@@ -211,10 +210,6 @@ void Engine::obs_setup() {
   tracer_.configure(cfg_.obs.tracing_enabled, cfg_.obs.trace_sample_stride,
                     cfg_.obs.max_trace_events);
   fabric_->set_tracer(&tracer_);
-
-  if (trace_on()) {
-    for (auto& gp : groups_) observe_tree_repairs(*gp);
-  }
 
   if (!metrics_.enabled()) return;
   fabric_->enable_link_stats();
@@ -356,16 +351,7 @@ void Engine::obs_setup() {
       return static_cast<double>(st->in_queue->size());
     });
   }
-  for (auto& gp : groups_) {
-    McastGroup* g = gp.get();
-    const std::string prefix = "group" + std::to_string(g->id);
-    metrics_.gauge(prefix + ".dstar", [g] {
-      return static_cast<double>(g->tree.max_out_degree());
-    });
-    metrics_.gauge(prefix + ".tree_depth", [g] {
-      return static_cast<double>(g->tree.depth());
-    });
-  }
+  mcast_->register_gauges(metrics_);
   metrics_.gauge("acker.pending",
                  [this] { return static_cast<double>(acker_.pending()); });
 }
@@ -416,10 +402,7 @@ void Engine::build_runtime() {
       [this](int dst, rdma::Packet pkt, int src) {
         handle_bytes(*workers_[static_cast<size_t>(dst)], std::move(pkt), src);
       },
-      [this](bool report, bool obs) {
-        if (report) ++tuples_lost_;
-        if (obs && c_lost_) c_lost_->inc();
-      });
+      [this] { count_lost(); });
   workers_.reserve(static_cast<size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
     auto wr = std::make_unique<WorkerRt>();
@@ -561,131 +544,6 @@ size_t Engine::out_index(int op, int stream) const {
   return it->second;
 }
 
-void Engine::build_mcast_groups() {
-  // Multicast groups exist when all-grouped data is serialized once and
-  // disseminated as shared bytes: always under worker-oriented
-  // communication, and under instance-oriented communication only for tree
-  // structures (RDMC). Plain Storm (instance + sequential) serializes per
-  // destination instance and needs no group.
-  const bool worker_level = cfg_.variant.comm == CommMode::kWorker;
-  const bool instance_tree = cfg_.variant.comm == CommMode::kInstance &&
-                             cfg_.variant.mcast != McastMode::kSequential;
-  if (!worker_level && !instance_tree) return;
-
-  for (const auto& s : topo_.streams) {
-    if (s.grouping != dsps::Grouping::kAll) continue;
-    const auto& from = topo_.ops[static_cast<size_t>(s.from_op)];
-    if (from.parallelism != 1) {
-      throw std::invalid_argument(
-          "multicast requires the all-grouped stream's source operator to "
-          "have parallelism 1 (operator '" + from.name + "')");
-    }
-    auto g = std::make_unique<McastGroup>();
-    g->id = static_cast<uint32_t>(groups_.size());
-    g->stream = s.id;
-    g->dst_op = s.to_op;
-    g->src_task = op_tasks_[static_cast<size_t>(s.from_op)][0];
-    g->src_worker = tasks_[static_cast<size_t>(g->src_task)]->worker;
-    g->worker_level = worker_level;
-    g->total_dst_instances =
-        op_tasks_[static_cast<size_t>(s.to_op)].size();
-
-    // Endpoints behind the source: every worker hosting destination
-    // instances, or for RDMC the destination task instances themselves.
-    std::vector<int> ids;
-    if (worker_level) {
-      for (const auto& w : workers_) {
-        if (w->id == g->src_worker) continue;
-        if (!w->op_local_tasks[static_cast<size_t>(s.to_op)].empty()) {
-          ids.push_back(w->id);
-        }
-      }
-    } else {
-      ids = op_tasks_[static_cast<size_t>(s.to_op)];
-    }
-    assign_endpoints(*g, ids);
-
-    build_group_tree(*g, /*dstar=*/0);
-    if (primary_src_task_ < 0) primary_src_task_ = g->src_task;
-    stream_to_group_[s.id] = g->id;
-    groups_.push_back(std::move(g));
-  }
-}
-
-void Engine::assign_endpoints(McastGroup& g, const std::vector<int>& ids) {
-  const int src = g.worker_level ? g.src_worker : g.src_task;
-  g.endpoints.assign(1, src);
-  g.endpoint_index.assign(g.worker_level ? workers_.size() : tasks_.size(),
-                          -1);
-  g.endpoint_index[static_cast<size_t>(src)] = 0;
-  for (int id : ids) {
-    g.endpoint_index[static_cast<size_t>(id)] =
-        static_cast<int>(g.endpoints.size());
-    g.endpoints.push_back(id);
-  }
-}
-
-void Engine::build_group_tree(McastGroup& g, int dstar) {
-  const int n = static_cast<int>(g.endpoints.size()) - 1;
-  switch (cfg_.variant.mcast) {
-    case McastMode::kSequential:
-      g.tree = multicast::MulticastTree::build_sequential(n);
-      break;
-    case McastMode::kBinomial:
-      g.tree = multicast::MulticastTree::build_binomial(n);
-      break;
-    case McastMode::kNonblocking: {
-      const int cap = std::max(1, multicast::MD1::binomial_out_degree(n));
-      const int d0 = dstar > 0 ? std::clamp(dstar, 1, cap)
-                     : cfg_.initial_dstar > 0
-                         ? std::min(cfg_.initial_dstar, cap)
-                         : cap;
-      g.tree = multicast::MulticastTree::build_nonblocking(n, d0);
-      if (cfg_.self_adjust) {
-        // d* decisions restart against the new destination count; the
-        // fingerprinted switch counters carry over via the group so
-        // finalize_report still reports whole-run totals.
-        if (g.controller) {
-          g.carry_scale_ups += g.controller->scale_ups();
-          g.carry_scale_downs += g.controller->scale_downs();
-        }
-        g.controller = std::make_unique<multicast::SelfAdjustingController>(
-            cfg_.controller, cfg_.executor_queue_capacity, n, d0);
-        if (!g.stream_monitor) {
-          g.stream_monitor = std::make_unique<multicast::StreamMonitor>(
-              kMonitorUnit, cfg_.lambda_alpha);
-        }
-      }
-      break;
-    }
-  }
-  // A rebuilt tree is a new object: re-attach the repair observer.
-  if (trace_on()) observe_tree_repairs(g);
-}
-
-void Engine::observe_tree_repairs(McastGroup& g) {
-  // Structural tree changes land as instants on the source's control lane;
-  // the surrounding repair *episode* (pause -> reconfigure -> ACKs) is the
-  // complete span emitted by finish_reconfig.
-  const int src_worker = g.src_worker;
-  g.tree.set_repair_observer(
-      [this, src_worker](const char* op, int /*node*/, size_t moves) {
-        tracer_.instant(op, "mcast", src_worker, obs::kLaneControl,
-                        cur_sim().now(), 0, "moves",
-                        static_cast<double>(moves));
-      });
-}
-
-int Engine::endpoint_worker(const McastGroup& g, int node) const {
-  const int ep = g.endpoints[static_cast<size_t>(node)];
-  return g.worker_level ? ep : tasks_[static_cast<size_t>(ep)]->worker;
-}
-
-int Engine::group_dstar(size_t g) const {
-  const auto& grp = *groups_[g];
-  return grp.controller ? grp.controller->dstar() : grp.tree.max_out_degree();
-}
-
 // ---------------------------------------------------------------------------
 // Run loop
 // ---------------------------------------------------------------------------
@@ -743,7 +601,29 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
     if (t->spout) schedule_arrival(t->id);
   }
   arm_faults();
-  start_monitoring();
+  // Queue-length sampling of the source instance for the report (1 ms).
+  // The sampler reads the source task's in-queue, so on parallel runs it
+  // lives on that task's partition; the report fields it bumps are shared,
+  // hence the guard. Then the d* controllers' sample loops.
+  if (primary_src_task_ >= 0) {
+    const int src = primary_src_task_;
+    sim::Simulation* src_sim =
+        &node_sim(tasks_[static_cast<size_t>(src)]->node);
+    loop_async([this, src, src_sim](auto next) {
+      src_sim->schedule_after(ms(1), [this, src, next] {
+        if (in_window()) {
+          const auto& q = *tasks_[static_cast<size_t>(src)]->in_queue;
+          auto lk = shared_guard();
+          queue_len_accum_ += static_cast<double>(q.size());
+          ++queue_samples_;
+          report_.transfer_queue_max =
+              std::max(report_.transfer_queue_max, q.size());
+        }
+        if (cur_sim().now() < window_end_) next();
+      });
+    });
+  }
+  mcast_->start(window_start_, window_end_);
   cur_sim().schedule_at(window_start_, [this] { snapshot_at_window_start(); });
 
   // Metrics snapshots on the simulated-time cadence. Gated on the registry
@@ -819,43 +699,6 @@ void Engine::snapshot_at_window_start() {
   }
 }
 
-void Engine::start_monitoring() {
-  // Queue-length sampling for the report (1 ms) and for the self-adjusting
-  // controllers (cfg_.controller.sample_interval).
-  if (primary_src_task_ >= 0 || !tasks_.empty()) {
-    const int src = primary_src_task_ >= 0 ? primary_src_task_ : 0;
-    // The sampler reads the source task's in-queue, so on parallel runs it
-    // must live on that task's partition; the report fields it bumps are
-    // shared, hence the guard.
-    sim::Simulation* src_sim =
-        &node_sim(tasks_[static_cast<size_t>(src)]->node);
-    loop_async([this, src, src_sim](auto next) {
-      src_sim->schedule_after(ms(1), [this, src, next] {
-        if (in_window()) {
-          const auto& q = *tasks_[static_cast<size_t>(src)]->in_queue;
-          auto lk = shared_guard();
-          queue_len_accum_ += static_cast<double>(q.size());
-          ++queue_samples_;
-          report_.transfer_queue_max =
-              std::max(report_.transfer_queue_max, q.size());
-        }
-        if (cur_sim().now() < window_end_) next();
-      });
-    });
-  }
-
-  for (auto& gp : groups_) {
-    if (!gp->controller) continue;
-    McastGroup* g = gp.get();
-    loop_async([this, g](auto next) {
-      cur_sim().schedule_after(cfg_.controller.sample_interval, [this, g, next] {
-        controller_sample(*g);
-        if (cur_sim().now() < window_end_) next();
-      });
-    });
-  }
-}
-
 void Engine::finalize_report(Duration measure) {
   const double secs = to_seconds(measure);
   double mcast_tuples = 0.0;
@@ -891,16 +734,11 @@ void Engine::finalize_report(Duration measure) {
           src.cpu->busy_time(static_cast<sim::CpuCategory>(c)));
     }
     // Downstream utilization: mean over the destination instances of the
-    // primary all-grouped stream (or all non-source tasks as fallback).
+    // primary all-grouped stream, whose group is the first one (or all
+    // non-source tasks as fallback).
     double sum = 0.0;
     int count = 0;
-    int dst_op = -1;
-    for (const auto& g : groups_) {
-      if (g->src_task == primary_src_task_) {
-        dst_op = g->dst_op;
-        break;
-      }
-    }
+    const int dst_op = mcast_->size() > 0 ? mcast_->group(0).dst_op : -1;
     for (const auto& t : tasks_) {
       if (dst_op >= 0 ? t->op == dst_op : t->id != primary_src_task_) {
         sum += t->cpu->utilization(window_start_);
@@ -925,16 +763,7 @@ void Engine::finalize_report(Duration measure) {
       queue_samples_ ? queue_len_accum_ / static_cast<double>(queue_samples_)
                      : 0.0;
 
-  for (const auto& g : groups_) {
-    if (g->controller) {
-      // Carries cover controllers an elastic rescale replaced mid-run;
-      // they stay 0 (and the totals byte-identical) with elasticity off.
-      report_.scale_ups += g->carry_scale_ups + g->controller->scale_ups();
-      report_.scale_downs +=
-          g->carry_scale_downs + g->controller->scale_downs();
-      report_.final_dstar = g->controller->dstar();
-    }
-  }
+  mcast_->finalize();
 
   if (state_on()) {
     const auto& st = checkpoints_.stats();
@@ -977,7 +806,10 @@ void Engine::finalize_report(Duration measure) {
 
   report_.fabric_messages_dropped = fabric_->messages_dropped();
   report_.fabric_bytes_dropped = fabric_->bytes_dropped();
-  report_.tuples_lost = tuples_lost_ + transport_->stats().packets_lost;
+  // One loss ledger: the obs layer's engine, QP-reset and fabric-drop
+  // counters sum to this.
+  const Transport::Stats ts = transport_->stats();
+  report_.tuples_lost = tuples_lost_ + ts.data_packets_lost + ts.fabric_drops;
   for (const auto& wp : workers_) {
     // Nodes still down at the end of the run contribute their residual.
     if (!fabric_->node_up(wp->node)) {
@@ -1079,11 +911,7 @@ void Engine::schedule_arrival(int task) {
       if (cfg_.enable_acking) acker_.fail(tuple->root_id);
     }
     // Stream-rate monitoring for the self-adjusting controller.
-    for (auto& g : groups_) {
-      if (g->src_task == task && g->stream_monitor) {
-        g->stream_monitor->record_arrival(cur_sim().now());
-      }
-    }
+    mcast_->record_arrival(task, cur_sim().now());
     if (cur_sim().now() < window_end_) schedule_arrival(task);
   });
 }
@@ -1121,10 +949,7 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
     // vanish silently (their epoch died with the old incarnation and the
     // fence counters were already zeroed by the rollback).
     if (d.gen != recovery_gen_) {
-      if (!state::is_barrier(*d.tuple)) {
-        ++tuples_lost_;
-        if (c_lost_) c_lost_->inc();
-      }
+      if (!state::is_barrier(*d.tuple)) count_lost();
       t.processing = false;
       pump_task(t);
       return;
@@ -1235,9 +1060,7 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
   }
   // The M/D/1 model's per-tuple fixed term includes the source's own
   // processing time, not just serialization: feed it to the monitor.
-  for (auto& g : groups_) {
-    if (g->src_task == t.id) g->app_monitor.record(cost);
-  }
+  mcast_->record_logic(t.id, cost);
   TaskRt* traw = &t;
   const bool is_spout = t.spout != nullptr;
   const uint64_t root = tuple->root_id;
@@ -1306,9 +1129,8 @@ void Engine::send_emission(TaskRt& t, dsps::Tuple tuple, int stream,
   auto& strat = *t.strategies[out_index(t.op, stream)];
 
   if (strat.broadcast()) {
-    auto it = stream_to_group_.find(stream);
-    if (it != stream_to_group_.end()) {
-      send_mcast(t, *groups_[it->second], std::move(tup), std::move(done));
+    if (const auto* g = mcast_->group_of_stream(stream)) {
+      send_mcast(t, *g, std::move(tup), std::move(done));
       return;
     }
     // Instance-oriented sequential all-grouping (Storm / RDMA-Storm).
@@ -1340,8 +1162,7 @@ void Engine::deliver_local(TaskRt& dst,
       return;
     }
     // No NACK from a dead worker: the loss surfaces as an ack timeout.
-    ++tuples_lost_;
-    if (c_lost_) c_lost_->inc();
+    count_lost();
     return;
   }
   if (!dst.active) {
@@ -1600,7 +1421,7 @@ void Engine::send_point_to_point(TaskRt& t,
   }
 }
 
-void Engine::send_mcast(TaskRt& t, McastGroup& g,
+void Engine::send_mcast(TaskRt& t, const McastGroups::Group& g,
                         std::shared_ptr<const dsps::Tuple> tup,
                         InlineFunction done) {
   const uint64_t root = tup->root_id;
@@ -1631,12 +1452,8 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
   }
 
   // Feed the t_s / t_d monitors with the actual charged costs (the paper's
-  // statistics monitoring, Sec. 4): t_d covers scheduling plus the
-  // transport-specific per-channel cost.
-  g.ts_monitor.record(ser);
-  g.td_monitor.record(cfg_.mcast_schedule_per_child +
-                      transport_->send_cost(dsps::TupleSerde::body_size(*tup))
-                          .first);
+  // statistics monitoring, Sec. 4).
+  mcast_->record_send(g, ser, body_len);
 
   // Worker-level trees carry endpoint 0 in every envelope (WOC), so the
   // message is framed once right here and every child shares the same
@@ -1652,7 +1469,7 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
   }
 
   TaskRt* traw = &t;
-  McastGroup* graw = &g;
+  const McastGroups::Group* graw = &g;
   t.cpu->execute(ser, sim::CpuCategory::kSerialization, [this, traw, graw,
                                                          tup, root, tracked,
                                                          bar, framed, body,
@@ -1708,7 +1525,7 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g,
                           : frame_mcast(graw->id,
                                         static_cast<uint32_t>(child_ep),
                                         *body);
-            m.dst_worker = endpoint_worker(*graw, child_ep);
+            m.dst_worker = graw->worker(child_ep);
             m.enqueued = cur_sim().now();
             m.root_id = tracked ? root : 0;
             m.src_task = traw->id;
@@ -1739,19 +1556,15 @@ void Engine::handle_bytes(WorkerRt& w, rdma::Packet pkt, int src_worker) {
       }
       dispatch_batch(w, std::move(pkt));
       break;
-    case MsgKind::kMcastData: {
-      auto& g = *groups_[env.group];
-      if (pkt.id != 0 && src_worker == g.src_worker) {
+    case MsgKind::kMcastData:
+      if (pkt.id != 0 && src_worker == mcast_->group(env.group).src_worker) {
         comm_track_delivery(pkt.id);
       }
       dispatch_mcast(w, std::move(pkt), env);
       break;
-    }
     case MsgKind::kControl:
-      handle_control(w, std::move(pkt));
-      break;
     case MsgKind::kAck:
-      handle_ack(env.group, src_worker, pkt.gen);
+      mcast_->on_control(w.id, src_worker, pkt);
       break;
   }
 }
@@ -1807,10 +1620,9 @@ void Engine::dispatch_batch(WorkerRt& w, rdma::Packet pkt) {
 
 void Engine::dispatch_mcast(WorkerRt& w, rdma::Packet pkt,
                             const Envelope& env) {
-  auto& g = *groups_[env.group];
-  const int my_endpoint = g.worker_level
-                              ? g.endpoint_index[static_cast<size_t>(w.id)]
-                              : static_cast<int>(env.endpoint);
+  const auto& g = mcast_->group(env.group);
+  const int my_endpoint = g.worker_level ? g.endpoint_of(w.id)
+                                         : static_cast<int>(env.endpoint);
   if (my_endpoint < 0) return;  // stale delivery after a reconfiguration
 
   // Relay first — raw bytes, no deserialization (zero-copy forwarding).
@@ -1820,7 +1632,7 @@ void Engine::dispatch_mcast(WorkerRt& w, rdma::Packet pkt,
   const uint64_t sz = pkt.size();
   const Envelope e = env;
   WorkerRt* wr = &w;
-  McastGroup* graw = &g;
+  const McastGroups::Group* graw = &g;
   const int ep = my_endpoint;
   const Duration deser = cfg_.cost.deser_time(sz);
   transport_->recv_cpu(w.id).execute(
@@ -1844,14 +1656,14 @@ void Engine::dispatch_mcast(WorkerRt& w, rdma::Packet pkt,
                           graw->src_task, pkt.gen);
           }
         } else {
-          const int task = graw->endpoints[static_cast<size_t>(ep)];
-          deliver_local(*tasks_[static_cast<size_t>(task)], std::move(tup),
-                        graw->src_task, pkt.gen);
+          deliver_local(*tasks_[static_cast<size_t>(graw->task(ep))],
+                        std::move(tup), graw->src_task, pkt.gen);
         }
       });
 }
 
-void Engine::relay_mcast(WorkerRt& w, McastGroup& g, int my_endpoint,
+void Engine::relay_mcast(WorkerRt& w, const McastGroups::Group& g,
+                         int my_endpoint,
                          const rdma::Packet& pkt) {
   const auto& children = g.tree.children(my_endpoint);
   if (children.empty()) return;
@@ -1865,7 +1677,7 @@ void Engine::relay_mcast(WorkerRt& w, McastGroup& g, int my_endpoint,
       m.bytes = frame_mcast(g.id, static_cast<uint32_t>(child_ep),
                             payload_of(*pkt.bytes, env));
     }
-    m.dst_worker = endpoint_worker(g, child_ep);
+    m.dst_worker = g.worker(child_ep);
     m.enqueued = cur_sim().now();
     m.relay = true;
     m.src_task = pkt.src_task;
@@ -1949,179 +1761,6 @@ void Engine::comm_track_delivery(uint64_t root_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Self-adjusting controller & tree changes (d* switches, crash repairs)
-// ---------------------------------------------------------------------------
-
-void Engine::controller_sample(McastGroup& g) {
-  if (!g.controller || g.reconfiguring) return;
-  // Epoch fence: never start a switch while a barrier is inside the tree
-  // (the controller simply re-samples at the next tick).
-  if (g.barrier_pending > 0) return;
-  if (!worker_up(g.src_worker)) return;
-  auto& src = *tasks_[static_cast<size_t>(g.src_task)];
-  const double lambda = g.stream_monitor->rate_tps(cur_sim().now());
-  const Duration td = g.td_monitor.has_estimate()
-                          ? g.td_monitor.estimate()
-                          : cfg_.mcast_schedule_per_child;
-  const Duration ts =
-      (g.ts_monitor.has_estimate() ? g.ts_monitor.estimate() : us(5)) +
-      (g.app_monitor.has_estimate() ? g.app_monitor.estimate() : 0);
-  // Fold the once-per-tuple work (serialization + source logic) into an
-  // effective per-replica time at the current out-degree (worker-oriented
-  // mu = 1/(d*td + ts), Sec. 4).
-  const int d0 = g.controller->dstar();
-  const Duration te =
-      td + ts / static_cast<Duration>(std::max(1, d0));
-  const auto d = g.controller->on_sample(src.in_queue->size(), lambda, te);
-  using Action = multicast::SelfAdjustingController::Action;
-  if (d.action == Action::kNone) return;
-  multicast::MulticastTree next = g.tree;  // plan on a copy
-  const auto moves = d.action == Action::kScaleDown
-                         ? next.plan_scale_down(d.new_dstar)
-                         : next.plan_scale_up(d.new_dstar);
-  if (moves.empty()) {
-    // Nothing to re-parent: the new out-degree applies at once.
-    g.tree = std::move(next);
-    g.controller->confirm(d.new_dstar);
-    return;
-  }
-  begin_reconfig(g, moves, std::move(next), d.new_dstar);
-}
-
-void Engine::begin_reconfig(McastGroup& g,
-                            const std::vector<multicast::Move>& moves,
-                            std::optional<multicast::MulticastTree> next,
-                            int next_dstar) {
-  g.reconfiguring = true;
-  ++g.change;
-  g.reconfig_start = cur_sim().now();
-  g.next = std::move(next);
-  g.next_dstar = next_dstar;
-  g.owed.clear();
-  for (const auto& mv : moves) {
-    const int wk = endpoint_worker(g, mv.node);
-    if (worker_up(wk)) g.owed.push_back(wk);
-  }
-  if (g.owed.empty()) {
-    // A leaf crash (or every orphan dead): nothing to renegotiate.
-    finish_reconfig(g);
-    return;
-  }
-  // Pause the source worker's data output (Thm. 4's v_out -> 0 window). A
-  // dead source comes back unpaused (on_node_restart).
-  transport_->set_paused(g.src_worker, true);
-  // A switch announces itself with a StatusMessage to every endpoint...
-  if (g.next) {
-    for (size_t e = 1; e < g.endpoints.size(); ++e) {
-      send_control(g.src_worker, endpoint_worker(g, static_cast<int>(e)),
-                   g.id, MsgKind::kControl);
-    }
-  }
-  // ...then a ControlMessage per moved endpoint; the recipient establishes
-  // its new connection and ACKs.
-  for (const int wk : g.owed) send_reconfigure(g, wk);
-}
-
-void Engine::finish_reconfig(McastGroup& g) {
-  g.reconfiguring = false;
-  const Duration took = cur_sim().now() - g.reconfig_start;
-  if (g.next) {
-    g.tree = std::move(*g.next);
-    g.next.reset();
-    g.controller->confirm(g.next_dstar);
-    if (trace_on()) {
-      tracer_.complete("mcast.switch", "mcast", g.src_worker,
-                       obs::kLaneControl, g.reconfig_start, took, 0, "dstar",
-                       static_cast<double>(g.next_dstar));
-    }
-    if (cur_sim().now() >= window_start_) {
-      ++report_.switches_completed;
-      report_.switch_time_total += took;
-      report_.switch_time_max = std::max(report_.switch_time_max, took);
-    }
-  } else {
-    report_.repair_time_total += took;
-    report_.repair_time_max = std::max(report_.repair_time_max, took);
-    if (trace_on()) {
-      // Recovery episodes are traced regardless of the sampling stride.
-      tracer_.complete("mcast.repair", "fault", g.src_worker,
-                       obs::kLaneControl, g.reconfig_start, took, 0, "group",
-                       static_cast<double>(g.id));
-    }
-  }
-  transport_->set_paused(g.src_worker, false);
-  transport_->pump(g.src_worker);
-  maybe_start_repair(g);
-}
-
-void Engine::abort_reconfig(McastGroup& g) {
-  if (g.next) g.controller->abort_switch();
-  g.reconfiguring = false;
-  g.next.reset();
-  g.owed.clear();
-  transport_->set_paused(g.src_worker, false);
-}
-
-void Engine::send_reconfigure(McastGroup& g, int dst_worker) {
-  // Reconfigure messages carry ctype = kReconfigure in the payload.
-  ByteWriter hw(16);
-  hw.put_u8(static_cast<uint8_t>(MsgKind::kControl));
-  hw.put_varint(g.id);
-  hw.put_u8(kReconfigure);
-  auto v = hw.take();
-  v.resize(std::max(v.size(), kControlMessageBytes), 0);
-  transport_->send_control(g.src_worker, dst_worker, make_bytes(std::move(v)),
-                           g.change);
-}
-
-void Engine::send_control(int src_worker, int dst_worker, uint32_t group,
-                          MsgKind kind) {
-  if (src_worker == dst_worker) return;  // nothing to announce locally
-  ByteWriter hw(16);
-  hw.put_u8(static_cast<uint8_t>(kind));
-  hw.put_varint(group);
-  hw.put_u8(kStatus);
-  auto v = hw.take();
-  v.resize(std::max(v.size(), kControlMessageBytes), 0);
-  transport_->send_control(src_worker, dst_worker, make_bytes(std::move(v)),
-                           /*change=*/0);
-}
-
-void Engine::handle_control(WorkerRt& w, rdma::Packet pkt) {
-  ByteReader r(*pkt.bytes);
-  r.get_u8();
-  const uint32_t group = static_cast<uint32_t>(r.get_varint());
-  const uint8_t ctype = r.get_u8();
-  if (ctype != kReconfigure) return;  // StatusMessage: informational only
-  // The endpoint tears down the old connection and establishes the new one
-  // (QP creation + handshake), then ACKs to the source, echoing the
-  // change it answers.
-  const int wk = w.id;
-  const uint64_t change = pkt.gen;
-  auto ack = [this, wk, group, change] {
-    if (!worker_up(wk)) return;  // crashed while establishing the connection
-    ByteWriter hw(8);
-    hw.put_u8(static_cast<uint8_t>(MsgKind::kAck));
-    hw.put_varint(group);
-    transport_->send_control(wk, groups_[group]->src_worker,
-                             make_bytes(hw.take()), change);
-  };
-  cur_sim().schedule_after(cfg_.switch_connection_setup, std::move(ack));
-}
-
-void Engine::handle_ack(uint32_t group, int src_worker, uint64_t change) {
-  auto& g = *groups_[group];
-  // ACKs are attributed to the worker that sent them, so a crashed
-  // worker's missing ACK can be written off (on_node_crash) instead of
-  // wedging the change with the source paused forever.
-  if (!g.reconfiguring || change != g.change) return;
-  auto it = std::find(g.owed.begin(), g.owed.end(), src_worker);
-  if (it == g.owed.end()) return;
-  g.owed.erase(it);
-  if (g.owed.empty()) finish_reconfig(g);
-}
-
-// ---------------------------------------------------------------------------
 // Fault injection & recovery
 // ---------------------------------------------------------------------------
 
@@ -2181,31 +1820,14 @@ void Engine::on_node_crash(int node) {
   for (auto& t : tasks_) {
     if (t->worker != node) continue;
     // Queued and stashed deliveries died with the process.
-    const uint64_t lost = drain_task(*t);
-    tuples_lost_ += lost;
-    if (c_lost_) c_lost_->inc(lost);
+    count_lost(drain_task(*t));
     t->processing = false;
   }
   // A crash dooms any in-flight epoch (some snapshot or barrier is gone):
   // abort it now so alignment elsewhere unblocks and fences lift.
   if (state_on()) abort_epoch();
   transport_->reset_qps(node);
-  for (auto& gp : groups_) {
-    auto& g = *gp;
-    if (g.src_worker == node) {
-      // The group's source died: abandon the change in flight and the
-      // queued repairs (their state lived in the dead process).
-      abort_reconfig(g);
-      g.repair_queue.clear();
-      continue;
-    }
-    // Excise the dead node from the dissemination tree.
-    for (const int ep : endpoints_on(g, node)) on_endpoint_crash(g, ep);
-    // A worker that owed an ACK will never send it.
-    if (g.reconfiguring && std::erase(g.owed, node) > 0 && g.owed.empty()) {
-      finish_reconfig(g);
-    }
-  }
+  mcast_->on_crash(node);
 }
 
 void Engine::on_node_restart(int node) {
@@ -2218,21 +1840,7 @@ void Engine::on_node_restart(int node) {
   transport_->set_paused(node, false);
   // Fresh process: peers re-create their queue pairs empty.
   transport_->reset_qps(node);
-  // Rejoin every multicast tree as a leaf at the shallowest open slot. A
-  // switch in flight was planned without the endpoint and would drop it
-  // again at install: abort it, like a crash does, and let the source
-  // send; the controller decides again at its next sample.
-  for (auto& gp : groups_) {
-    auto& g = *gp;
-    for (const int ep : endpoints_on(g, node)) {
-      if (!g.tree.removed(ep)) continue;
-      g.tree.restore(ep, repair_dstar(g));
-      if (g.next) {
-        abort_reconfig(g);
-        transport_->pump(g.src_worker);
-      }
-    }
-  }
+  mcast_->on_restart(node);
   // Checkpoint recovery: after the simulated restore-read delay, roll the
   // whole topology back to the last committed epoch and replay the spouts'
   // uncommitted emissions. recovery_gen_ lets a newer restart supersede a
@@ -2255,61 +1863,6 @@ void Engine::on_node_restart(int node) {
         });
   }
   transport_->pump(node);
-}
-
-int Engine::repair_dstar(const McastGroup& g) const {
-  // Cap repairs at the controller's current d*; without a controller keep
-  // the tree's existing shape (sequential trees re-attach under the source,
-  // binomial trees keep their widest degree).
-  if (g.controller) return g.controller->dstar();
-  return std::max(1, g.tree.max_out_degree());
-}
-
-std::vector<int> Engine::endpoints_on(const McastGroup& g, int node) const {
-  // A rescale shrink unmaps the endpoints it excises (endpoint_index -1)
-  // but leaves their slots in `endpoints`: those are endpoints no more.
-  std::vector<int> eps;
-  for (size_t e = 1; e < g.endpoints.size(); ++e) {
-    const int id = g.endpoints[e];
-    if (g.endpoint_index[static_cast<size_t>(id)] == static_cast<int>(e) &&
-        endpoint_worker(g, static_cast<int>(e)) == node) {
-      eps.push_back(static_cast<int>(e));
-    }
-  }
-  return eps;
-}
-
-void Engine::on_endpoint_crash(McastGroup& g, int dead_ep) {
-  // A switch negotiated with the cluster as it was can no longer complete
-  // (the dead endpoint may owe an ACK): abort it and let the controller
-  // re-evaluate once the repair settles.
-  if (g.next) abort_reconfig(g);
-  if (g.tree.removed(dead_ep)) return;
-  g.repair_queue.push_back(dead_ep);
-  maybe_start_repair(g);
-}
-
-void Engine::maybe_start_repair(McastGroup& g) {
-  if (g.reconfiguring || g.repair_queue.empty()) return;
-  // Epoch fence: a barrier still inside the tree defers the repair (the
-  // fence lifts when the barrier drains or the epoch aborts, at most one
-  // checkpoint interval later — both re-invoke maybe_start_repair).
-  if (g.barrier_pending > 0) return;
-  const int dead_ep = g.repair_queue.front();
-  g.repair_queue.erase(g.repair_queue.begin());
-  if (g.tree.removed(dead_ep)) {
-    maybe_start_repair(g);
-    return;
-  }
-  // The tree is patched immediately (the source must not keep relaying into
-  // a dead connection); the control/ACK exchange below models the time the
-  // orphaned subtrees need to re-establish their upstream connections,
-  // during which the source is paused — the same v_out -> 0 window as a
-  // dynamic switch.
-  const auto moves = g.tree.repair(dead_ep, repair_dstar(g));
-  ++report_.tree_repairs;
-  report_.repair_moves += moves.size();
-  begin_reconfig(g, moves);
 }
 
 void Engine::maybe_replay(uint64_t root) {
@@ -2369,9 +1922,7 @@ void Engine::checkpoint_tick() {
   for (const auto& wp : workers_) {
     if (!fabric_->node_up(wp->node)) return;
   }
-  for (const auto& gp : groups_) {
-    if (gp->reconfiguring) return;
-  }
+  if (mcast_->reconfiguring()) return;
   inject_epoch();
 }
 
@@ -2437,7 +1988,7 @@ void Engine::abort_epoch() {
                     obs::kLaneControl, cur_sim().now(), epoch);
   }
   // Lift the tree fences and release every fenced executor.
-  lift_tree_fences();
+  mcast_->lift_fences();
   ckpt_store_->abort(epoch);
   for (auto& tp : tasks_) tp->store.drop_pending_baseline();
   // A rescale riding this epoch dies with it: release the quiesced tasks
@@ -2451,30 +2002,11 @@ void Engine::abort_epoch() {
   }
 }
 
-void Engine::lift_tree_fences() {
-  for (auto& gp : groups_) {
-    if (gp->barrier_pending > 0) {
-      gp->barrier_pending = 0;
-      maybe_start_repair(*gp);
-    }
-  }
-}
-
 void Engine::handle_barrier(TaskRt& t, Delivery d) {
   const dsps::Tuple& b = *d.tuple;
   const uint64_t epoch = state::barrier_epoch(b);
   // Tree fence: this barrier copy has left the dissemination structure.
-  // Decremented for stale copies too — every copy counted in was counted
-  // out (aborts zero the fence wholesale).
-  if (!t.spout) {
-    auto git = stream_to_group_.find(static_cast<int>(b.stream));
-    if (git != stream_to_group_.end()) {
-      auto& g = *groups_[git->second];
-      if (g.barrier_pending > 0 && --g.barrier_pending == 0) {
-        maybe_start_repair(g);
-      }
-    }
-  }
+  if (!t.spout) mcast_->exit_fence(static_cast<int>(b.stream));
   if (!checkpoints_.in_flight() || epoch != checkpoints_.current_epoch() ||
       epoch <= t.epoch) {
     // Barrier of an aborted or superseded epoch: discard.
@@ -2587,18 +2119,15 @@ void Engine::forward_barrier(TaskRt& t, uint64_t epoch,
     auto bar = state::make_barrier(epoch, traw->id);
     bar.stream = static_cast<uint32_t>(stream);
     auto tup = std::make_shared<const dsps::Tuple>(std::move(bar));
-    auto git = stream_to_group_.find(stream);
-    if (git != stream_to_group_.end()) {
-      auto& g = *groups_[git->second];
-      if (g.reconfiguring) {
+    if (const auto* g = mcast_->group_of_stream(stream)) {
+      if (!mcast_->enter_fence(*g)) {
         // Never push a barrier into a reconfiguring tree — the epoch must
         // not straddle a topology change, so it aborts instead.
         schedule_epoch_abort(epoch);
         next();
         return;
       }
-      g.barrier_pending += static_cast<int>(g.total_dst_instances);
-      send_mcast(*traw, g, std::move(tup), [next] { next(); });
+      send_mcast(*traw, *g, std::move(tup), [next] { next(); });
       return;
     }
     const auto& s = topo_.streams[static_cast<size_t>(stream)];
@@ -2634,7 +2163,7 @@ void Engine::commit_epoch() {
   // All barrier copies were consumed before the last snapshot staged, but
   // a fence held by a copy lost to a racing crash must not outlive the
   // epoch: lift any straggler.
-  lift_tree_fences();
+  mcast_->lift_fences();
   // A committed rescale epoch runs its migration now: every affected task
   // is quiesced with its state captured in THIS epoch's committed images,
   // no group is reconfiguring, and no barrier is in any tree — the
@@ -2644,7 +2173,7 @@ void Engine::commit_epoch() {
 
 void Engine::do_recover() {
   checkpoints_.rewind_to_committed();
-  lift_tree_fences();
+  mcast_->lift_fences();
   const uint64_t committed = checkpoints_.last_committed();
   for (auto& tp : tasks_) {
     auto& t = *tp;
@@ -2652,9 +2181,7 @@ void Engine::do_recover() {
     // Roll back: everything queued or fenced past the committed epoch is
     // superseded by the log replay below (counted lost like any discarded
     // instance).
-    const uint64_t lost = drain_task(t);
-    tuples_lost_ += lost;
-    if (c_lost_) c_lost_->inc(lost);
+    count_lost(drain_task(t));
     t.epoch = committed;
     // Spout stores are source-reader state: the live value already covers
     // every logged emission, and the log replay below re-delivers the
@@ -2702,8 +2229,7 @@ void Engine::do_recover() {
       if (tp->in_queue->try_push(std::move(d))) {
         ++checkpoints_.stats().channel_replayed;
       } else {
-        ++tuples_lost_;
-        if (c_lost_) c_lost_->inc();
+        count_lost();
       }
     }
   }

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -23,6 +22,7 @@
 
 #include "common/rng.h"
 #include "core/config.h"
+#include "core/mcast_groups.h"
 #include "core/message.h"
 #include "core/report.h"
 #include "core/transport.h"
@@ -32,8 +32,6 @@
 #include "elastic/controller.h"
 #include "elastic/placement.h"
 #include "faults/injector.h"
-#include "multicast/controller.h"
-#include "multicast/tree.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -82,11 +80,11 @@ class Engine {
 
   // --- introspection (tests, monitors) ----------------------------------
   size_t num_tasks() const { return tasks_.size(); }
-  size_t num_mcast_groups() const { return groups_.size(); }
+  size_t num_mcast_groups() const { return mcast_->size(); }
   const multicast::MulticastTree& group_tree(size_t g) const {
-    return groups_[g]->tree;
+    return mcast_->group(g).tree;
   }
-  int group_dstar(size_t g) const;
+  int group_dstar(size_t g) const { return mcast_->dstar(mcast_->group(g)); }
 
   // --- observability -----------------------------------------------------
   // Configured from cfg_.obs at construction; both are inert (zero extra
@@ -199,55 +197,6 @@ class Engine {
     std::vector<std::vector<int>> op_local_tasks;
   };
 
-  // One all-grouped stream disseminated through a multicast structure.
-  struct McastGroup {
-    uint32_t id = 0;
-    int stream = 0;
-    int dst_op = 0;
-    int src_task = 0;
-    int src_worker = 0;
-    bool worker_level = true;  // endpoints are workers (WOC) or tasks (RDMC)
-    // endpoint index -> worker id (worker_level) or task id.
-    std::vector<int> endpoints;
-    // worker/task id -> endpoint index (-1 when not an endpoint).
-    std::vector<int> endpoint_index;
-    size_t total_dst_instances = 0;
-    multicast::MulticastTree tree;
-
-    // Self-adjusting machinery (non-blocking mode only).
-    std::unique_ptr<multicast::SelfAdjustingController> controller;
-    std::unique_ptr<multicast::StreamMonitor> stream_monitor;
-    multicast::ServiceTimeMonitor td_monitor;   // per-destination t_d
-    multicast::ServiceTimeMonitor ts_monitor;   // once-per-tuple serialization
-    multicast::ServiceTimeMonitor app_monitor;  // once-per-tuple source logic
-    // The tree change in flight: a d* switch or a crash repair, one
-    // ACK-paced protocol (DESIGN.md §6). Changes are numbered; each moved
-    // endpoint's worker gets a reconfigure carrying `change` and owes an
-    // ACK echoing it (`owed`, one entry per reconfigure). A switch installs
-    // its planned tree `next` at out-degree `next_dstar` when the last ACK
-    // lands; a repair patched the tree when it began. Changes serialize:
-    // dead endpoints wait in `repair_queue` until the tree is free.
-    bool reconfiguring = false;
-    uint64_t change = 0;
-    Time reconfig_start = 0;
-    std::vector<int> owed;
-    std::optional<multicast::MulticastTree> next;
-    int next_dstar = 0;
-    std::vector<int> repair_queue;
-
-    // Epoch fence: barrier copies still inside this tree. While positive,
-    // tree changes are deferred (and while reconfiguring, no barrier enters
-    // the tree), so an epoch is never split by a topology change.
-    // lift_tree_fences() zeroes it, bounding deferral at one interval.
-    int barrier_pending = 0;
-
-    // d* switch counts of controllers an elastic rescale replaced; added
-    // to the live controller's counts at finalize so the fingerprinted
-    // totals cover the whole run. Always 0 with elasticity off.
-    uint64_t carry_scale_ups = 0;
-    uint64_t carry_scale_downs = 0;
-  };
-
   // Per-root-tuple multicast reception tracking (drives the multicast
   // latency metric: time until EVERY destination instance has received
   // the tuple). Throughput is tracked separately as aggregate processed
@@ -280,22 +229,6 @@ class Engine {
   // channel per (in-stream, live upstream task) pair; spouts align on the
   // injected barrier alone.
   void count_expected_barriers();
-  void build_mcast_groups();
-  // Makes g's source endpoint 0 and `ids` (worker or task ids, in tree
-  // order) endpoints 1.., rebuilding the reverse index.
-  void assign_endpoints(McastGroup& g, const std::vector<int>& ids);
-  // Builds g's tree over its current endpoints and, for a self-adjusting
-  // non-blocking tree, a fresh d* controller (the replaced controller's
-  // switch counts carry over). The tree starts at out-degree `dstar`, or
-  // cfg_.initial_dstar when `dstar` is 0, capped at the binomial degree.
-  void build_group_tree(McastGroup& g, int dstar);
-  // Traces g's structural tree changes on the source's control lane.
-  void observe_tree_repairs(McastGroup& g);
-  // The worker hosting tree node `node` of g.
-  int endpoint_worker(const McastGroup& g, int node) const;
-  bool worker_up(int worker) const {
-    return fabric_->node_up(workers_[static_cast<size_t>(worker)]->node);
-  }
 
   // --- data path -----------------------------------------------------------
   void schedule_arrival(int task);
@@ -315,7 +248,7 @@ class Engine {
   // allocation on every send.
   void send_point_to_point(TaskRt& t, std::shared_ptr<const dsps::Tuple> tup,
                            PooledVec<int> dsts, InlineFunction done);
-  void send_mcast(TaskRt& t, McastGroup& g,
+  void send_mcast(TaskRt& t, const McastGroups::Group& g,
                   std::shared_ptr<const dsps::Tuple> tup,
                   InlineFunction done);
   void deliver_local(TaskRt& dst, std::shared_ptr<const dsps::Tuple> tup,
@@ -327,43 +260,13 @@ class Engine {
   void dispatch_instance(WorkerRt& w, rdma::Packet pkt);
   void dispatch_batch(WorkerRt& w, rdma::Packet pkt);
   void dispatch_mcast(WorkerRt& w, rdma::Packet pkt, const Envelope& env);
-  void relay_mcast(WorkerRt& w, McastGroup& g, int my_endpoint,
+  void relay_mcast(WorkerRt& w, const McastGroups::Group& g, int my_endpoint,
                    const rdma::Packet& pkt);
 
   // --- multicast bookkeeping -------------------------------------------------
   void mcast_track_start(uint64_t root_id, Time emit, uint32_t total);
   void mcast_track_received(uint64_t root_id);
   void comm_track_delivery(uint64_t root_id);
-
-  // --- tree changes: d* switches and crash repairs ---------------------------
-  void start_monitoring();
-  // Feeds g's d* controller one sample; a decided switch is planned on a
-  // copy of the tree and started with begin_reconfig.
-  void controller_sample(McastGroup& g);
-  // Starts a tree change that re-parents `moves`: the source pauses and
-  // the live worker of each moved endpoint gets a reconfigure. A switch
-  // passes its planned tree and d* (and first announces itself to every
-  // endpoint); a repair has already patched g.tree. With no live worker
-  // to wait on, the change finishes at once.
-  void begin_reconfig(McastGroup& g, const std::vector<multicast::Move>& moves,
-                      std::optional<multicast::MulticastTree> next = {},
-                      int next_dstar = 0);
-  void handle_control(WorkerRt& w, rdma::Packet pkt);
-  // Crosses `src_worker` off the change in flight if the ACK answers it
-  // (`change`); an ACK for an aborted or finished change is ignored.
-  void handle_ack(uint32_t group, int src_worker, uint64_t change);
-  // The last ACK landed: a switch installs its planned tree; either kind
-  // records its episode, resumes the source and lets a queued repair in.
-  void finish_reconfig(McastGroup& g);
-  // Drops the change in flight without installing anything: the source
-  // is unpaused and a switch's controller decides again at its next
-  // sample. Late ACKs for it are stale.
-  void abort_reconfig(McastGroup& g);
-  void send_control(int src_worker, int dst_worker, uint32_t group,
-                    MsgKind kind);
-  // Reconfigure message (ctype = kReconfigure) for g's change in flight:
-  // the recipient establishes its new upstream connection and ACKs.
-  void send_reconfigure(McastGroup& g, int dst_worker);
 
   // --- fault injection & recovery -------------------------------------------
   void arm_faults();
@@ -373,14 +276,12 @@ class Engine {
   uint64_t drain_task(TaskRt& t);
   void on_node_crash(int node);
   void on_node_restart(int node);
-  // Tree endpoints of g hosted on `node`: its worker (worker-level
-  // groups) or its tasks (instance-level). Never the source.
-  std::vector<int> endpoints_on(const McastGroup& g, int node) const;
-  void on_endpoint_crash(McastGroup& g, int dead_ep);
-  // Starts the next queued repair once the tree is free and unfenced.
-  void maybe_start_repair(McastGroup& g);
-  int repair_dstar(const McastGroup& g) const;
   void maybe_replay(uint64_t root);
+  // Counts `n` data tuples lost in both ledgers (report and obs).
+  void count_lost(uint64_t n = 1) {
+    tuples_lost_ += n;
+    if (c_lost_) c_lost_->inc(n);
+  }
 
   // --- checkpointing (src/state) --------------------------------------------
   bool state_on() const { return cfg_.state.enabled; }
@@ -394,8 +295,6 @@ class Engine {
   // safe to call from deep inside delivery callbacks.
   void schedule_epoch_abort(uint64_t epoch);
   void abort_epoch();
-  // Zeroes every group's tree fence and starts the repairs it deferred.
-  void lift_tree_fences();
   // Fences the barrier's channel at t; cuts the snapshot, forwards the
   // barrier and seals the epoch where t's fence says so (see TaskRt).
   void handle_barrier(TaskRt& t, Delivery d);
@@ -420,11 +319,8 @@ class Engine {
   bool elastic_on() const { return cfg_.elastic.enabled; }
   // Validates the config, builds one ScalingController per rescalable
   // operator and installs the d* backlog probes. Called from the ctor
-  // after build_mcast_groups.
+  // after the multicast groups are built.
   void elastic_setup();
-  // Feeds g's d* controller the smoothed backlog of the scaling controller
-  // watching g's destination operator, if both exist.
-  void drive_dstar_from_backlog(McastGroup& g);
   // Poll tick: feeds every controller its operator's backlog fraction;
   // adopts the first plan issued (plans serialize engine-wide).
   void elastic_tick();
@@ -442,10 +338,6 @@ class Engine {
   void cancel_rescale();
   // Picks the host node for a freshly spawned instance of `op`.
   int place_instance(int op) const;
-  // Rebuilds one mcast group's endpoint set / tree / controller after its
-  // destination operator rescaled. Shrinks route through tree.repair();
-  // grows rebuild the tree with rack-contiguous endpoint order.
-  void rescale_mcast_group(McastGroup& g);
 
   // --- metrics ----------------------------------------------------------------
   bool in_window() const {
@@ -495,6 +387,8 @@ class Engine {
   std::unique_ptr<net::Fabric> fabric_;
   // Worker threads, transfer queues and channels (core/transport.h).
   std::unique_ptr<Transport> transport_;
+  // Multicast trees, d* control and tree changes (core/mcast_groups.h).
+  std::unique_ptr<McastGroups> mcast_;
   // Serializes cross-partition updates to report_ and the track maps on
   // parallel runs (see shared_guard()); never taken on serial runs.
   std::mutex shared_mu_;
@@ -514,8 +408,6 @@ class Engine {
   // live values for the obs gauges, window-start snapshot for the report.
   std::vector<std::vector<uint64_t>> stream_instance_counts_;
   std::vector<std::vector<uint64_t>> stream_instance_snap_;
-  std::vector<std::unique_ptr<McastGroup>> groups_;
-  std::unordered_map<int, uint32_t> stream_to_group_;
 
   std::unordered_map<uint64_t, McastTrack> mcast_tracks_;
   std::unordered_map<uint64_t, CommTrack> comm_tracks_;

@@ -28,7 +28,6 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -65,19 +64,12 @@ void Engine::elastic_setup() {
     if (!op_rescalable(static_cast<int>(op))) continue;
     escalers_[op] = std::make_unique<elastic::ScalingController>(
         cfg_.elastic, static_cast<int>(op), topo_.ops[op].parallelism);
-  }
-  for (auto& gp : groups_) drive_dstar_from_backlog(*gp);
-}
-
-void Engine::drive_dstar_from_backlog(McastGroup& g) {
-  // The d* controllers of multicast groups feeding a rescalable operator
-  // see the scaling controller's smoothed backlog as a queue-length floor,
-  // so tree out-degree reacts to the same gauge stream the rescaler acts
-  // on. Never installed with elasticity off.
-  elastic::ScalingController* sc =
-      escalers_[static_cast<size_t>(g.dst_op)].get();
-  if (g.controller && sc) {
-    g.controller->set_backlog_probe([sc] { return sc->backlog_ewma(); });
+    // The d* controllers of multicast groups feeding a rescalable operator
+    // see its smoothed backlog as a queue-length floor, so tree out-degree
+    // reacts to the same gauge stream the rescaler acts on.
+    elastic::ScalingController* sc = escalers_[op].get();
+    mcast_->set_backlog_probe(static_cast<int>(op),
+                              [sc] { return sc->backlog_ewma(); });
   }
 }
 
@@ -335,9 +327,7 @@ void Engine::execute_rescale(uint64_t epoch) {
   count_expected_barriers();
 
   // --- 9. multicast structures ----------------------------------------------------
-  for (auto& gp : groups_) {
-    if (gp->dst_op == opi) rescale_mcast_group(*gp);
-  }
+  mcast_->rescale(opi);
 
   // --- 10. coordinator + controller + accounting ----------------------------------
   int active_tasks = 0;
@@ -383,82 +373,6 @@ void Engine::execute_rescale(uint64_t epoch) {
     tp->quiesced = false;
     pump_task(*tp);
   }
-}
-
-void Engine::rescale_mcast_group(McastGroup& g) {
-  const size_t dst_op = static_cast<size_t>(g.dst_op);
-  g.total_dst_instances = op_tasks_[dst_op].size();
-  // Instance-level id spaces grow with tasks_; keep the reverse index
-  // covering every id the crash paths may probe.
-  if (!g.worker_level && g.endpoint_index.size() < tasks_.size()) {
-    g.endpoint_index.resize(tasks_.size(), -1);
-  }
-
-  // Desired endpoints (beyond the source), rack-contiguous order: racks
-  // first, so a rebuilt binomial/non-blocking tree keeps whole subtrees
-  // inside one rack wherever the endpoint count allows.
-  std::vector<int> want;
-  if (g.worker_level) {
-    for (const auto& w : workers_) {
-      if (w->id == g.src_worker) continue;
-      if (!w->op_local_tasks[dst_op].empty()) want.push_back(w->id);
-    }
-    std::sort(want.begin(), want.end(), [this](int a, int b) {
-      const int ra = cfg_.cluster.rack_of(workers_[static_cast<size_t>(a)]->node);
-      const int rb = cfg_.cluster.rack_of(workers_[static_cast<size_t>(b)]->node);
-      if (ra != rb) return ra < rb;
-      return a < b;
-    });
-  } else {
-    want = op_tasks_[dst_op];
-    std::sort(want.begin(), want.end(), [this](int a, int b) {
-      const int na = tasks_[static_cast<size_t>(a)]->node;
-      const int nb = tasks_[static_cast<size_t>(b)]->node;
-      const int ra = cfg_.cluster.rack_of(na);
-      const int rb = cfg_.cluster.rack_of(nb);
-      if (ra != rb) return ra < rb;
-      if (na != nb) return na < nb;
-      return a < b;
-    });
-  }
-
-  bool grow = false;
-  for (int id : want) {
-    const int e = id < static_cast<int>(g.endpoint_index.size())
-                      ? g.endpoint_index[static_cast<size_t>(id)]
-                      : -1;
-    if (e < 0 || g.tree.removed(e)) {
-      grow = true;
-      break;
-    }
-  }
-
-  if (!grow) {
-    // Pure shrink: excise the endpoints that lost their destination
-    // instances through the same repair path a crash uses — orphaned
-    // subtrees re-attach at the shallowest open slots, so surviving
-    // endpoints keep their connections and no reconnect storm is paid.
-    std::unordered_set<int> wanted(want.begin(), want.end());
-    for (size_t e = 1; e < g.endpoints.size(); ++e) {
-      const int id = g.endpoints[e];
-      if (wanted.count(id) != 0 || g.tree.removed(static_cast<int>(e))) {
-        continue;
-      }
-      g.tree.repair(static_cast<int>(e), repair_dstar(g));
-      g.endpoint_index[static_cast<size_t>(id)] = -1;
-    }
-    return;
-  }
-
-  // Grow (or mixed): rebuild the endpoint set and the tree wholesale in
-  // rack-contiguous order. Safe at rescale commit — the quiesced source
-  // stopped emitting before its barrier and barrier_pending is 0, so the
-  // old tree holds no traffic for this group; anything stale still on
-  // the wire resolves endpoint_index to -1 and is dropped on arrival.
-  const int old_dstar = g.controller ? g.controller->dstar() : 0;
-  assign_endpoints(g, want);
-  build_group_tree(g, old_dstar);
-  drive_dstar_from_backlog(g);
 }
 
 }  // namespace whale::core

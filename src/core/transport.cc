@@ -51,7 +51,7 @@ void Transport::push(int w, OutMsg msg, InlineFunction done) {
   if (!fabric_.node_up(wr.node)) {
     // The producing worker died (possibly while blocked on a full queue):
     // the message is lost but the executor chain must unwind.
-    if (!msg.barrier) on_loss_(/*report=*/true, /*obs=*/true);
+    if (!msg.barrier) on_loss_();
     done();
     return;
   }
@@ -110,7 +110,7 @@ void Transport::transmit(Worker& w, OutMsg msg) {
   if (!fabric_.node_up(workers_[idx(dst)].node)) {
     // The connection to a crashed peer is in error state: the send fails
     // and the message is dropped (the ack timeout recovers the root).
-    if (!msg.barrier) on_loss_(/*report=*/true, /*obs=*/true);
+    if (!msg.barrier) on_loss_();
     resume();
     return;
   }
@@ -141,9 +141,8 @@ void Transport::transmit(Worker& w, OutMsg msg) {
                       });
                 });
             // Dropped at fabric entry (partition / dead link): the message
-            // vanished without a delivery callback. Only the obs ledger
-            // counts it.
-            if (!sent && !bar) on_loss_(/*report=*/false, /*obs=*/true);
+            // vanished without a delivery callback.
+            if (!sent && !bar) on_loss_();
             resume();
           });
       break;
@@ -213,14 +212,11 @@ void Transport::send_control(int src, int dst, Bytes bytes, uint64_t change) {
 void Transport::deliver(int dst, rdma::Packet pkt, int src) {
   if (!fabric_.node_up(workers_[idx(dst)].node)) {
     // In-flight delivery racing a crash: the process it was addressed to
-    // no longer exists. Barriers vanish uncounted (their epoch aborts);
-    // control and ACK packets reach the report's losses but not the obs
-    // data ledger.
+    // no longer exists. Only data is lost: barriers vanish (their epoch
+    // aborts) and a missing control packet or ACK is a protocol event.
     if (pkt.barrier) return;
     const MsgKind k = peek(*pkt.bytes).kind;
-    on_loss_(/*report=*/true, /*obs=*/k == MsgKind::kInstanceData ||
-                                  k == MsgKind::kBatchData ||
-                                  k == MsgKind::kMcastData);
+    if (k != MsgKind::kControl && k != MsgKind::kAck) on_loss_();
     return;
   }
   on_recv_(dst, std::move(pkt), src);
@@ -274,7 +270,7 @@ void Transport::crash(int node) {
   // The process is gone: everything queued inside it is lost. Barrier
   // losses abort their epoch instead of counting as data.
   while (auto m = w.queue->try_pop()) {
-    if (!m->barrier) on_loss_(/*report=*/true, /*obs=*/true);
+    if (!m->barrier) on_loss_();
   }
 }
 
@@ -319,7 +315,6 @@ Transport::Stats Transport::stats() const {
       if (const auto& sl = w.slicers[dst]) s.inflight += sl->buffered_tuples();
       for (const auto* q : {w.data_qps[dst].get(), w.ctrl_qps[dst].get()}) {
         if (!q) continue;
-        s.packets_lost += q->packets_lost();
         s.reads_cancelled += q->reads_cancelled();
         s.wedged_packets += q->wedged_packets();
       }

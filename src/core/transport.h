@@ -68,9 +68,11 @@ class Transport {
   // A packet from worker `src` reached live worker `dst` (after the
   // receive thread's protocol cost on TCP).
   using RecvHook = std::function<void(int dst, rdma::Packet pkt, int src)>;
-  // The transport dropped a message that was not a barrier. `report`:
-  // it counts in RunReport::tuples_lost; `obs`: in obs.tuples_lost_engine.
-  using LossHook = std::function<void(bool report, bool obs)>;
+  // The transport dropped a data message (never a barrier, control packet
+  // or ACK) that no QP counts: a dead sender or receiver, a TCP message
+  // refused at fabric entry, a crashed worker's transfer queue. QP reset
+  // losses and QP fabric drops are in stats() instead.
+  using LossHook = std::function<void()>;
   // Builds the CPU server of a worker thread on `node`.
   using CpuFactory =
       std::function<std::unique_ptr<sim::CpuServer>(int node, std::string)>;
@@ -117,7 +119,6 @@ class Transport {
   // Bytes held in the READ rings of w's outgoing data QPs.
   uint64_t ring_bytes(int w) const;
   struct Stats {
-    uint64_t packets_lost = 0;       // QP reset losses, data + control
     uint64_t data_packets_lost = 0;  // QP reset losses, data QPs only
     uint64_t fabric_drops = 0;       // data-QP packets dropped at fabric entry
     // Messages still inside the transport: transfer queues, data-QP rings

@@ -7,7 +7,7 @@ int SelfAdjustingController::model_dstar(double lambda_tps,
   if (lambda_tps <= 0.0 || te <= 0) return max_dstar_;
   const int d = MD1::max_out_degree(lambda_tps, te,
                                     static_cast<double>(capacity_));
-  return std::clamp(d, cfg_.min_out_degree, max_dstar_);
+  return std::clamp(d, kMinDstar, max_dstar_);
 }
 
 SelfAdjustingController::Decision SelfAdjustingController::on_sample(
@@ -32,7 +32,7 @@ SelfAdjustingController::Decision SelfAdjustingController::on_sample(
     const bool steep = !breached && delta / (lw - l) >= cfg_.t_down;
     if (breached || steep) {
       const int target = std::min(model_dstar(lambda_tps, te), dstar_ - 1);
-      if (target >= cfg_.min_out_degree && target < dstar_) {
+      if (target >= kMinDstar && target < dstar_) {
         decision.action = Action::kScaleDown;
         decision.new_dstar = target;
         switching_ = true;
@@ -44,7 +44,7 @@ SelfAdjustingController::Decision SelfAdjustingController::on_sample(
     // fast relative to the previous level, or the queue is empty.
     const double delta = l_prev - l;
     const bool empty = (l == 0.0 && l_prev == 0.0);
-    const bool fast = l_prev > 0.0 && delta / l_prev >= cfg_.t_up;
+    const bool fast = l_prev > 0.0 && delta / l_prev >= kTUp;
     if (empty || fast) {
       // Scale up only as far as the queue model says the current input rate
       // affords; a draining queue with a hot lambda estimate stays put.

@@ -78,20 +78,20 @@ class ServiceTimeMonitor {
 };
 
 struct ControllerConfig {
-  // Thresholds of Sec. 3.3.
+  // Scale-down threshold of Sec. 3.3 (the scale-up one is kTUp).
   double t_down = 0.5;
-  double t_up = 0.5;
   // Warning waterline l_w as a fraction of the queue capacity Q.
   double warning_waterline_frac = 0.5;
   // Queue sampling interval (the paper's delta-t).
   Duration sample_interval = ms(10);
-  // Hard bounds on d*.
-  int min_out_degree = 1;
 };
 
 class SelfAdjustingController {
  public:
   enum class Action { kNone, kScaleDown, kScaleUp };
+  // Scale-up threshold of Sec. 3.3 and the lower bound on d*.
+  static constexpr double kTUp = 0.5;
+  static constexpr int kMinDstar = 1;
 
   struct Decision {
     Action action = Action::kNone;
@@ -102,10 +102,19 @@ class SelfAdjustingController {
   // binomial out-degree (a larger d* cannot help — Thm. 2).
   SelfAdjustingController(ControllerConfig cfg, size_t queue_capacity,
                           int num_destinations, int initial_dstar)
-      : cfg_(cfg),
-        capacity_(queue_capacity),
-        max_dstar_(std::max(1, MD1::binomial_out_degree(num_destinations))),
-        dstar_(std::clamp(initial_dstar, cfg.min_out_degree, max_dstar_)) {}
+      : cfg_(cfg), capacity_(queue_capacity) {
+    reset(num_destinations, initial_dstar);
+  }
+
+  // Starts over against a new destination count (a rebuilt tree), keeping
+  // only the switch counts and the backlog probe.
+  void reset(int num_destinations, int initial_dstar) {
+    max_dstar_ = std::max(1, MD1::binomial_out_degree(num_destinations));
+    dstar_ = std::clamp(initial_dstar, kMinDstar, max_dstar_);
+    have_prev_ = false;
+    prev_len_ = 0.0;
+    switching_ = false;
+  }
 
   int dstar() const { return dstar_; }
   int max_dstar() const { return max_dstar_; }
@@ -152,8 +161,8 @@ class SelfAdjustingController {
 
   ControllerConfig cfg_;
   size_t capacity_;
-  int max_dstar_;
-  int dstar_;
+  int max_dstar_ = 1;
+  int dstar_ = 1;
   bool have_prev_ = false;
   double prev_len_ = 0.0;
   bool switching_ = false;

@@ -237,7 +237,6 @@ std::vector<Move> MulticastTree::repair(int v, int dstar) {
     recompute_layers();
     moves.push_back(Move{c, v, slot});
   }
-  if (repair_observer_) repair_observer_("repair", v, moves.size());
   return moves;
 }
 
@@ -249,7 +248,6 @@ std::vector<Move> MulticastTree::restore(int v, int dstar) {
   assert(slot >= 0 && "restore found no open slot");
   attach(v, slot);
   recompute_layers();
-  if (repair_observer_) repair_observer_("restore", v, 1);
   return {Move{v, -1, slot}};
 }
 

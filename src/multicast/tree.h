@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,9 +52,6 @@ class MulticastTree {
   int max_out_degree() const;
   int depth() const;  // max layer
 
-  // Nodes in BFS (layer, then insertion) order; position 0 is the source.
-  const std::vector<int>& bfs_order() const { return order_; }
-
   // Structural invariants: every node reachable from S exactly once,
   // parent/children consistent, layers = BFS depth, and (if dstar > 0)
   // all out-degrees <= dstar. Returns an empty string when valid, else a
@@ -90,17 +86,6 @@ class MulticastTree {
   }
   int num_removed() const;
 
-  // Observation hook: invoked at the end of repair()/restore() with the
-  // operation name, the node involved and the number of re-connections
-  // performed. Planning calls (plan_scale_down/up) do NOT fire it. The
-  // observer is copied along with the tree (dynamic switching clones
-  // trees), so keep its state shared — e.g. a pointer into the engine.
-  using RepairObserver =
-      std::function<void(const char* op, int node, size_t moves)>;
-  void set_repair_observer(RepairObserver fn) {
-    repair_observer_ = std::move(fn);
-  }
-
  private:
   void add_child(int parent, int child);
   void detach(int v);
@@ -118,7 +103,6 @@ class MulticastTree {
   // removed_[v] != 0 marks a crashed node: detached, absent from order_,
   // ignored by validate() and slot search. Lazily sized (empty == none).
   std::vector<uint8_t> removed_;
-  RepairObserver repair_observer_;
 };
 
 }  // namespace whale::multicast

@@ -10,11 +10,9 @@ namespace {
 
 using Action = SelfAdjustingController::Action;
 
-ControllerConfig cfg(double t_down = 0.5, double t_up = 0.5,
-                     double lw_frac = 0.5) {
+ControllerConfig cfg(double t_down = 0.5, double lw_frac = 0.5) {
   ControllerConfig c;
   c.t_down = t_down;
-  c.t_up = t_up;
   c.warning_waterline_frac = lw_frac;
   return c;
 }

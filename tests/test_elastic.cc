@@ -10,7 +10,10 @@
 //  (f) crash-recovery composes with a committed rescale (restore targets
 //      the migrated images and the post-rescale topology);
 //  (g) zero-overhead contract: with elasticity off, reports are
-//      bit-identical to a never-configured run.
+//      bit-identical to a never-configured run;
+//  (h) rescaling an all-grouped stream's destination rebuilds (grow) or
+//      repairs (shrink) its multicast group under Whale, Whale-WOC-RDMA
+//      and RDMC.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -561,6 +564,101 @@ TEST(ElasticRescale, CrashAfterRescaleRestoresMigratedImages) {
   EXPECT_EQ(counts.size(), static_cast<size_t>(h.spout->emitted()));
   for (const auto& [seq, n] : counts) {
     EXPECT_EQ(n, 1u) << "sequence " << seq << " applied " << n << " times";
+  }
+}
+
+// --- (h) a broadcast destination rescales its multicast group --------------
+
+// Stateless bolt that forwards every tuple after `cost` of work and keeps
+// its context, so a test can see which worker hosts each instance.
+class ForwardBolt : public dsps::Bolt {
+ public:
+  explicit ForwardBolt(Duration cost) : cost_(cost) {}
+  void prepare(const dsps::TaskContext& ctx) override { ctx_ = ctx; }
+  Duration execute(const dsps::Tuple& t, dsps::Emitter& out) override {
+    out.emit(t);
+    return cost_;
+  }
+  const dsps::TaskContext& ctx() const { return ctx_; }
+
+ private:
+  Duration cost_;
+  dsps::TaskContext ctx_;
+};
+
+TEST(ElasticRescale, BroadcastDestinationGrowsAndShrinks) {
+  // s -> fwd(1) =all=> dst(2) -> sink. The rescalable operator is the
+  // all-grouped stream's destination, so each rescale rebuilds (grow) or
+  // repairs (shrink) the multicast group: worker endpoints under Whale and
+  // Whale-WOC-RDMA, task endpoints under RDMC.
+  for (const SystemVariant& v : {SystemVariant::Whale(),
+                                 SystemVariant::WhaleWocRdma(),
+                                 SystemVariant::Rdmc()}) {
+    SCOPED_TRACE(v.name());
+    auto rate = dsps::RateProfile::constant(300.0);
+    rate.then_at(ms(150), 6000.0)
+        .then_at(ms(300), 300.0)
+        .then_at(ms(450), 6000.0)
+        .then_at(ms(600), 100.0)
+        .then_at(ms(1100), 0.0);
+    ForwardBolt* fwd = nullptr;
+    std::vector<ForwardBolt*> dsts;  // creation order = task spawn order
+    dsps::TopologyBuilder b;
+    const int s = b.add_spout(
+        "s", [] { return std::make_unique<SeqSpout>(); }, 1, std::move(rate));
+    const int f = b.add_bolt(
+        "fwd",
+        [&fwd] {
+          auto bolt = std::make_unique<ForwardBolt>(us(5));
+          fwd = bolt.get();
+          return bolt;
+        },
+        1);
+    const int d = b.add_bolt(
+        "dst",
+        [&dsts] {
+          auto bolt = std::make_unique<ForwardBolt>(us(300));
+          dsts.push_back(bolt.get());
+          return bolt;
+        },
+        2);
+    const int k = b.add_bolt(
+        "sink", [] { return std::make_unique<NopBolt>(); }, 1);
+    b.connect(s, f, dsps::Grouping::kShuffle);
+    b.connect(f, d, dsps::Grouping::kAll);
+    b.connect(d, k, dsps::Grouping::kShuffle);
+
+    EngineConfig c = elastic_cfg(6);
+    c.variant = v;
+    Engine e(c, b.build());
+    const RunReport& r = e.run(ms(50), ms(1200));
+
+    EXPECT_GE(r.elastic.scale_ups, 1u) << "burst never forced a grow";
+    EXPECT_GE(r.elastic.scale_downs, 1u) << "lull never forced a shrink";
+    EXPECT_EQ(r.elastic.stale_drops, 0u);
+    EXPECT_EQ(r.tuples_lost, 0u);
+    ASSERT_EQ(e.num_mcast_groups(), 1u);
+    const auto& tree = e.group_tree(0);
+    EXPECT_EQ(tree.validate(e.group_dstar(0)), "");
+
+    // The tree's live nodes are exactly the hosts of the live destination
+    // instances: the workers other than the source's for worker-level
+    // groups, the instances themselves for RDMC.
+    ASSERT_NE(fwd, nullptr);
+    std::set<int> workers;
+    int live = 0;
+    for (const ForwardBolt* bolt : dsts) {
+      if (!e.task_active(bolt->ctx().task_id)) continue;
+      ++live;
+      if (bolt->ctx().worker != fwd->ctx().worker) {
+        workers.insert(bolt->ctx().worker);
+      }
+    }
+    EXPECT_EQ(live, e.op_parallelism(d));
+    const int hosts = v.comm == CommMode::kWorker
+                          ? static_cast<int>(workers.size())
+                          : live;
+    EXPECT_EQ(tree.num_destinations() - tree.num_removed(), hosts);
   }
 }
 

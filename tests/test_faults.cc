@@ -227,6 +227,35 @@ TEST(Faults, PartitionedLinkDropsAndRestores) {
   EXPECT_GT(tail, 0.0);
 }
 
+TEST(Faults, PartitionLossesReachTheReport) {
+  // Every link partitioned for 50 ms: TCP messages refused at fabric entry
+  // (Storm) and QP packets dropped there (RDMA-Storm) are data losses, so
+  // the report counts exactly what the obs data ledger counts.
+  for (const SystemVariant& v :
+       {SystemVariant::Storm(), SystemVariant::RdmaStorm()}) {
+    SCOPED_TRACE(v.name());
+    EngineConfig c = base_cfg(4);
+    c.variant = v;
+    c.seed = 3;
+    c.obs.metrics_enabled = true;
+    for (int src = 0; src < 4; ++src) {
+      for (int dst = 0; dst < 4; ++dst) {
+        if (src != dst) c.faults.partition(src, dst, ms(100), ms(50));
+      }
+    }
+    Engine e(c, broadcast_topo(2000.0, 8));
+    const auto& r = e.run(ms(50), ms(250));
+    auto count = [&e](const char* name) {
+      return e.metrics().find_counter(name)->value();
+    };
+    const uint64_t ledger = count("obs.tuples_lost_engine") +
+                            count("obs.tuples_lost_qp") +
+                            count("obs.qp_fabric_drops");
+    EXPECT_GT(ledger, 0u);
+    EXPECT_EQ(r.tuples_lost, ledger);
+  }
+}
+
 TEST(Faults, RelayStallFreezesThenDrains) {
   EngineConfig c = base_cfg(4);
   c.faults.stall(/*node=*/0, /*at=*/ms(200), /*duration=*/ms(100));

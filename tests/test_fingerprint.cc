@@ -1,9 +1,10 @@
 // Fingerprint-parity gate (promoted to ctest from the manual CI diff).
 //
 // results/fingerprints_baseline.txt pins the behavioural fingerprint of
-// twelve deterministic workloads: nine with checkpointing off (among them
-// `faults/whale-switch-crash`, where a crash aborts a d* switch) and three
-// `state/*` probes with it on. Two properties are enforced here:
+// thirteen deterministic workloads: nine with checkpointing off (among them
+// `faults/whale-switch-crash`, where a crash aborts a d* switch) and four
+// `state/*` probes with it on (`state/elastic-broadcast` also rescales a
+// broadcast destination). Two properties are enforced here:
 //
 //  1. A run with the obs layer *disabled* (the default EngineConfig) is
 //     bit-identical to the recorded baseline — the observability layer is
@@ -63,14 +64,14 @@ TEST(FingerprintParity, DisabledObsMatchesBaseline) {
 }
 
 // Property 2: tracing-on (metrics off) == baseline for the heaviest Whale
-// probe, the fault/recovery probe, a checkpoint-recovery probe and the
-// switch-under-crash probe. The tracer must never schedule an event, so
+// probe, the fault/recovery probe, a checkpoint-recovery probe, the
+// switch-under-crash probe and the broadcast-rescale probe. The tracer must never schedule an event, so
 // `events=` in the fingerprint cannot move.
 TEST(FingerprintParity, TracingOnMatchesBaseline) {
   const auto baseline = load_baseline();
   for (const std::string label :
        {"fig13/whale", "faults/whale-seeded", "state/remote-incremental",
-        "faults/whale-switch-crash"}) {
+        "faults/whale-switch-crash", "state/elastic-broadcast"}) {
     const FingerprintLine got =
         run_fingerprint_probe(label, [](whale::core::EngineConfig& cfg) {
           cfg.obs.tracing_enabled = true;

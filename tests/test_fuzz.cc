@@ -297,7 +297,11 @@ TEST(Fuzz, EngineConservesTuplesUnderRandomFaultPlans) {
       }
       const double rate = 500.0 + 250.0 * rng.next_below(8);
       core::Engine e(cfg, random_chain_topo(rng, rate));
-      e.run(ms(50), ms(250));
+      const core::RunReport& r = e.run(ms(50), ms(250));
+      // One loss ledger: the report counts exactly the obs data losses.
+      EXPECT_EQ(r.tuples_lost, obs_count(e, "obs.tuples_lost_engine") +
+                                   obs_count(e, "obs.tuples_lost_qp") +
+                                   obs_count(e, "obs.qp_fabric_drops"));
 
       // run() stops the clock at the window end with late events still
       // queued; every periodic loop re-arms only inside the window, so

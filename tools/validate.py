@@ -82,8 +82,9 @@ obs directory (tools/obs_probe):
                 dispatch, sink spans); at least one fault/repair episode
                 (fault.crash instant + mcast.repair complete span) and one
                 d* switch (mcast.switch complete span) are recorded, each
-                kind of tree change with a positive duration; complete
-                events carry numeric ts/dur >= 0.
+                kind of tree change with a positive duration; at least one
+                repair and one restore instant, each with a numeric
+                'moves' arg; complete events carry numeric ts/dur >= 0.
   metrics.json  parses against the schema in DESIGN.md §9; snapshot times
                 are strictly increasing and spaced by snapshot_interval_ns;
                 the controller input series (src.transfer_queue,
@@ -642,10 +643,23 @@ def check_trace(path: pathlib.Path) -> None:
     for name in ("mcast.repair", "mcast.switch"):
         if not any(ev["ph"] == "X" and ev["dur"] > 0 for ev in by_name[name]):
             fail(f"no {name} span records a positive duration")
+    # The structural tree changes themselves: a crash excises an endpoint
+    # (`repair`) and a restart re-admits it (`restore`), each an instant
+    # carrying the number of connections re-made.
+    for name in ("repair", "restore"):
+        changes = by_name.get(name, [])
+        if not changes:
+            fail(f"trace missing tree-change instant '{name}'")
+        for ev in changes:
+            if ev["ph"] != "i" or not isinstance(
+                    ev.get("args", {}).get("moves"), (int, float)):
+                fail(f"'{name}' is not an instant with a 'moves' arg: {ev}")
     print(f"  trace.json    ok: {len(events)} events, "
           f"{len(by_name)} span names, "
           f"{len(by_name['mcast.repair'])} repair episode(s), "
-          f"{len(by_name['mcast.switch'])} switch(es)")
+          f"{len(by_name['mcast.switch'])} switch(es), "
+          f"{len(by_name['repair'])} repair / "
+          f"{len(by_name['restore'])} restore instant(s)")
 
 
 def check_metrics(path: pathlib.Path) -> None:
