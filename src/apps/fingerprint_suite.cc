@@ -1,5 +1,6 @@
 #include "apps/fingerprint_suite.h"
 
+#include <map>
 #include <stdexcept>
 
 #include "apps/ride_hailing_app.h"
@@ -140,6 +141,69 @@ class NopBolt : public dsps::Bolt {
   }
 };
 
+// Counts how often each sequence value was applied, in a checkpointed cell.
+class CountingSink : public dsps::Bolt {
+ public:
+  Duration execute(const dsps::Tuple& t, dsps::Emitter&) override {
+    ++counts_[t.as_int(0)];
+    return us(3);
+  }
+  void register_state(state::StateStore& store) override {
+    store.register_cell(
+        "counts",
+        [this](ByteWriter& w) {
+          w.put_varint(counts_.size());
+          for (const auto& [k, v] : counts_) {
+            w.put_i64(k);
+            w.put_u64(v);
+          }
+        },
+        [this](ByteReader& r) {
+          counts_.clear();
+          const uint64_t n = r.get_varint();
+          for (uint64_t i = 0; i < n; ++i) {
+            const int64_t k = r.get_i64();
+            counts_[k] = r.get_u64();
+          }
+        });
+  }
+
+ private:
+  std::map<int64_t, uint64_t> counts_;
+};
+
+// Recovery before any epoch has committed: s -> fwd(2) -> counting sink
+// on 4 nodes (tests/test_state.cc's exactly-once pipeline), local aligned
+// state with 100 ms epochs, and node 1 down from 50 to 80 ms, so the
+// restore rolls every task back to the image it started from and replays
+// the whole spout log.
+FingerprintLine probe_crash_before_commit(const ConfigMutator& mutate) {
+  core::EngineConfig cfg;
+  cfg.cluster.num_nodes = 4;
+  cfg.variant = core::SystemVariant::Whale();
+  cfg.seed = 23;
+  cfg.state.enabled = true;
+  cfg.state.checkpoint_interval = ms(100);
+  cfg.state.store_write_latency = ms(5);
+  cfg.executor_queue_capacity = 65536;
+  cfg.transfer_queue_capacity = 65536;
+  cfg.faults.crash(/*node=*/1, /*at=*/ms(50), /*restart_after=*/ms(30));
+  if (mutate) mutate(cfg);
+  dsps::TopologyBuilder b;
+  const int s = b.add_spout(
+      "s", [] { return std::make_unique<SeqSpout>(); }, 1,
+      dsps::RateProfile::constant(400.0).then_at(ms(290), 0.0));
+  const int f = b.add_bolt(
+      "f", [] { return std::make_unique<ForwardBolt>(us(5)); }, 2);
+  const int k = b.add_bolt(
+      "c", [] { return std::make_unique<CountingSink>(); }, 1);
+  b.connect(s, f, dsps::Grouping::kShuffle);
+  b.connect(f, k, dsps::Grouping::kShuffle);
+  core::Engine e(cfg, b.build());
+  const auto& r = e.run(ms(100), ms(700));
+  return {"state/crash-before-commit", r.fingerprint()};
+}
+
 // Elastic rescaling of a broadcast destination: s -> fwd(1) =all=> dst(2)
 // -> sink on 6 nodes under full Whale. Two bursts grow dst and two lulls
 // shrink it, so its multicast group is rebuilt and repaired at rescale
@@ -196,7 +260,8 @@ std::vector<std::string> fingerprint_probe_labels() {
           "fig15/storm", "fig15/rdmc",       "fig15/whale",
           "faults/whale-seeded", "state/local-aligned",
           "state/local-unaligned", "state/remote-incremental",
-          "faults/whale-switch-crash", "state/elastic-broadcast"};
+          "faults/whale-switch-crash", "state/elastic-broadcast",
+          "state/crash-before-commit"};
 }
 
 FingerprintLine run_fingerprint_probe(const std::string& label,
@@ -230,6 +295,9 @@ FingerprintLine run_fingerprint_probe(const std::string& label,
   }
   if (label == "state/elastic-broadcast") {
     return probe_elastic_broadcast(mutate);
+  }
+  if (label == "state/crash-before-commit") {
+    return probe_crash_before_commit(mutate);
   }
   if (label == "state/local-aligned") {
     return probe_state("local-aligned", [](state::StateConfig&) {}, mutate);

@@ -26,11 +26,11 @@ struct FingerprintLine {
 // used by the parity tests to flip obs knobs without forking the suite.
 using ConfigMutator = std::function<void(core::EngineConfig&)>;
 
-// Runs all thirteen probes (fig13 x {storm, rdma-storm, whale-woc, whale},
+// Runs all fourteen probes (fig13 x {storm, rdma-storm, whale-woc, whale},
 // fig15 x {storm, rdmc, whale}, faults/whale-seeded, the
 // checkpointing-on state x {local-aligned, local-unaligned,
-// remote-incremental}, faults/whale-switch-crash, and the elastic
-// state/elastic-broadcast) in order.
+// remote-incremental}, faults/whale-switch-crash, the elastic
+// state/elastic-broadcast and state/crash-before-commit) in order.
 std::vector<FingerprintLine> run_fingerprint_suite(
     const ConfigMutator& mutate = {});
 

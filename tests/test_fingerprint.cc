@@ -1,10 +1,11 @@
 // Fingerprint-parity gate (promoted to ctest from the manual CI diff).
 //
 // results/fingerprints_baseline.txt pins the behavioural fingerprint of
-// thirteen deterministic workloads: nine with checkpointing off (among them
-// `faults/whale-switch-crash`, where a crash aborts a d* switch) and four
+// fourteen deterministic workloads: nine with checkpointing off (among them
+// `faults/whale-switch-crash`, where a crash aborts a d* switch) and five
 // `state/*` probes with it on (`state/elastic-broadcast` also rescales a
-// broadcast destination). Two properties are enforced here:
+// broadcast destination, and `state/crash-before-commit` recovers before
+// any epoch has committed). Two properties are enforced here:
 //
 //  1. A run with the obs layer *disabled* (the default EngineConfig) is
 //     bit-identical to the recorded baseline — the observability layer is
