@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/slab.h"
+#include "state/checkpoint.h"
 
 namespace whale::core {
 
@@ -97,10 +98,6 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
     psim_->set_lookahead(
         fabric_->min_cross_propagation(wire, psim_->node_partition_map()));
   }
-  if (state_on()) {
-    ckpt_store_ = std::make_unique<state::CheckpointStore>(
-        *fabric_, cfg_.cost, cfg_.state, /*host_node=*/cfg_.cluster.num_nodes);
-  }
   build_runtime();
   mcast_ = std::make_unique<McastGroups>(
       cfg_, topo_,
@@ -123,6 +120,13 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
   if (primary_src_task_ >= 0) {
     primary_src_worker_ =
         tasks_[static_cast<size_t>(primary_src_task_)]->worker;
+  }
+  ckpt_.emplace(cfg_, topo_, op_tasks_, *fabric_, *mcast_, tracer_, report_,
+                static_cast<Checkpoints::Hooks&>(*this),
+                primary_src_worker_ >= 0 ? primary_src_worker_ : 0);
+  for (auto& tp : tasks_) {
+    ckpt_->add_task({tp->id, tp->op, tp->node, tp->cpu.get(),
+                     tp->in_queue.get(), &tp->store});
   }
   mcast_processed_per_stream_.assign(topo_.streams.size(), 0);
   stream_dst_count_.assign(topo_.streams.size(), 1);
@@ -222,44 +226,7 @@ void Engine::obs_setup() {
   c_qp_fabric_drops_ = metrics_.counter("obs.qp_fabric_drops");
   c_inflight_ = metrics_.counter("obs.inflight_end");
   h_sink_latency_ = metrics_.histogram("obs.sink_latency");
-  if (state_on()) {
-    c_epochs_ = metrics_.counter("state.epochs_completed");
-    c_epoch_aborts_ = metrics_.counter("state.epochs_aborted");
-    c_barriers_ = metrics_.counter("state.barriers_injected");
-    c_snapshot_bytes_ = metrics_.counter("state.snapshot_bytes");
-    c_committed_ = metrics_.counter("state.committed_completions");
-    c_dup_filtered_ = metrics_.counter("state.duplicates_filtered");
-    c_ckpt_replays_ = metrics_.counter("state.replayed_tuples");
-    metrics_.gauge("state.last_committed_epoch", [this] {
-      return static_cast<double>(checkpoints_.last_committed());
-    });
-    metrics_.gauge("state.align_stall_ns", [this] {
-      return static_cast<double>(checkpoints_.stats().align_stall_total);
-    });
-    metrics_.gauge("state.dirty_ratio", [this] {
-      // Shipped snapshot bytes over the full images they represent; 1.0
-      // for full snapshots, < 1.0 once incremental deltas start paying off.
-      const auto& st = checkpoints_.stats();
-      return st.full_bytes_total
-                 ? static_cast<double>(st.snapshot_bytes_total) /
-                       static_cast<double>(st.full_bytes_total)
-                 : 0.0;
-    });
-    metrics_.gauge("state.channel_bytes", [this] {
-      return static_cast<double>(checkpoints_.stats().channel_bytes_total);
-    });
-    if (cfg_.state.remote) {
-      metrics_.gauge("state.remote_write_bytes", [this] {
-        return static_cast<double>(ckpt_store_->stats().write_bytes);
-      });
-      metrics_.gauge("state.remote_read_bytes", [this] {
-        return static_cast<double>(ckpt_store_->stats().read_bytes);
-      });
-      metrics_.gauge("state.mr_registered_bytes", [this] {
-        return static_cast<double>(ckpt_store_->stats().region_bytes);
-      });
-    }
-  }
+  if (state_on()) ckpt_->register_metrics(metrics_);
   if (elastic_on()) {
     c_el_polls_ = metrics_.counter("elastic.polls");
     c_el_ups_ = metrics_.counter("elastic.scale_ups");
@@ -362,11 +329,11 @@ void Engine::obs_finalize() {
   uint64_t inflight = ts.inflight;
   for (const auto& tp : tasks_) {
     inflight += tp->in_queue->size();
-    inflight += tp->stash.size();  // stashed behind an epoch barrier
     // A task stuck mid-processing (its emission blocked on a queue that
     // will never drain) holds exactly one tuple instance in limbo.
     if (tp->processing) ++inflight;
   }
+  if (state_on()) inflight += ckpt_->stashed();
   c_lost_qp_->set(ts.data_packets_lost);
   c_qp_fabric_drops_->set(ts.fabric_drops);
   c_inflight_->set(inflight);
@@ -445,7 +412,6 @@ void Engine::build_runtime() {
       ++spout_index;
     }
   }
-  count_expected_barriers();
 }
 
 Engine::TaskRt& Engine::add_task(int op, int instance, int worker) {
@@ -513,23 +479,6 @@ Engine::TaskRt& Engine::add_task(int op, int instance, int worker) {
       .push_back(t->id);
   tasks_.push_back(std::move(t));
   return *raw;
-}
-
-void Engine::count_expected_barriers() {
-  // op_tasks_ holds exactly the live instances (a rescale prunes retired
-  // ones), so this serves build time and every rescale alike.
-  for (auto& tp : tasks_) {
-    if (!tp->active) continue;
-    const auto& spec = topo_.ops[static_cast<size_t>(tp->op)];
-    int expected = spec.is_spout ? 1 : 0;
-    for (int sid : spec.in_streams) {
-      expected += static_cast<int>(
-          op_tasks_[static_cast<size_t>(
-                        topo_.streams[static_cast<size_t>(sid)].from_op)]
-              .size());
-    }
-    tp->expected_barriers = expected;
-  }
 }
 
 size_t Engine::out_index(int op, int stream) const {
@@ -639,26 +588,9 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
     });
   }
 
-  // Checkpoint epoch ticks (src/state). Same zero-overhead contract as the
-  // metrics loop above: disabled checkpointing schedules ZERO events.
-  if (state_on()) {
-    checkpoints_.reset(static_cast<int>(tasks_.size()));
-    // Bind every task to the checkpoint store with its epoch-0 image (the
-    // remote medium seeds the host image from it); the delta baselines
-    // start at the same image, so the first incremental delta diffs
-    // against exactly what the host holds.
-    for (auto& tp : tasks_) {
-      tp->epoch0_image = tp->store.snapshot();
-      ckpt_store_->bind_task(tp->id, tp->node, tp->epoch0_image);
-      tp->store.rebase(tp->epoch0_image);
-    }
-    loop_async([this](auto next) {
-      cur_sim().schedule_after(cfg_.state.checkpoint_interval, [this, next] {
-        checkpoint_tick();
-        if (cur_sim().now() < window_end_) next();
-      });
-    });
-  }
+  // Checkpoint epoch ticks. Same zero-overhead contract as the metrics
+  // loop above: disabled checkpointing schedules ZERO events.
+  ckpt_->start(window_end_);
 
   // Elastic scaling polls (src/elastic). Zero-overhead contract again:
   // with elasticity off no controllers exist and no events are scheduled.
@@ -765,37 +697,7 @@ void Engine::finalize_report(Duration measure) {
 
   mcast_->finalize();
 
-  if (state_on()) {
-    const auto& st = checkpoints_.stats();
-    report_.epochs_completed = st.epochs_completed;
-    report_.epochs_aborted = st.epochs_aborted;
-    report_.barriers_injected = st.barriers_injected;
-    report_.checkpoint_bytes = st.snapshot_bytes_total;
-    report_.committed_completions = st.committed_completions;
-    report_.duplicates_filtered = st.duplicates_filtered;
-    report_.checkpoint_recoveries = st.recoveries;
-    report_.checkpoint_replays = st.replayed_tuples;
-    report_.align_stall_total = st.align_stall_total;
-    report_.epoch_duration_avg =
-        st.epochs_completed
-            ? st.epoch_duration_total /
-                  static_cast<Duration>(st.epochs_completed)
-            : 0;
-    report_.snapshot_full_bytes = st.full_bytes_total;
-    report_.state_dirty_cells = st.dirty_cells_total;
-    report_.state_clean_cells = st.clean_cells_total;
-    report_.channel_tuples_captured = st.channel_tuples_captured;
-    report_.channel_bytes = st.channel_bytes_total;
-    report_.channel_replays = st.channel_replayed;
-    const auto& rs = ckpt_store_->stats();  // all 0 on the local store
-    report_.remote_writes = rs.writes_posted;
-    report_.remote_write_bytes = rs.write_bytes;
-    report_.remote_reads = rs.reads_posted;
-    report_.remote_read_bytes = rs.read_bytes;
-    report_.mr_regions = rs.regions;
-    report_.mr_region_bytes = rs.region_bytes;
-    report_.mr_region_grows = rs.region_grows;
-  }
+  ckpt_->finalize();
 
   if (elastic_on()) {
     report_.elastic.enabled = true;
@@ -901,7 +803,7 @@ void Engine::schedule_arrival(int task) {
       }
     }
     Delivery arrival{tuple, 0};
-    arrival.gen = recovery_gen_;
+    arrival.gen = ckpt_->gen();
     if (!tk.in_queue->try_push(std::move(arrival))) {
       if (in_window()) {
         auto lk = shared_guard();
@@ -925,12 +827,12 @@ void Engine::pump_task(TaskRt& t) {
   if (!t.active || t.quiesced) return;
   // Deliveries stashed behind a closed fence go first: they arrived before
   // anything still waiting in the in-queue.
-  if (state_on() && !t.stash.empty() && t.fenced.empty()) {
-    Delivery d = std::move(t.stash.front());
-    t.stash.pop_front();
-    t.processing = true;
-    process_tuple(t, std::move(d));
-    return;
+  if (state_on()) {
+    if (auto d = ckpt_->unstash(t.id)) {
+      t.processing = true;
+      process_tuple(t, std::move(*d));
+      return;
+    }
   }
   auto item = t.in_queue->try_pop();
   if (!item) return;
@@ -939,66 +841,13 @@ void Engine::pump_task(TaskRt& t) {
 }
 
 void Engine::process_tuple(TaskRt& t, Delivery d) {
-  bool capture = false;
-  if (state_on()) {
-    // Stale-incarnation fence: a copy sent before a recovery (still on the
-    // wire or in a queue when the rollback ran) must not be applied to the
-    // restored state — its root is re-delivered by the epoch-log replay.
-    // A restarted real system severs its old connections; here the old
-    // bytes still arrive, so they are dropped at the door. Stale barriers
-    // vanish silently (their epoch died with the old incarnation and the
-    // fence counters were already zeroed by the rollback).
-    if (d.gen != recovery_gen_) {
-      if (!state::is_barrier(*d.tuple)) count_lost();
-      t.processing = false;
-      pump_task(t);
-      return;
-    }
-    // Epoch barriers never reach user logic and never touch the data
-    // counters below; they drive alignment/snapshotting instead.
-    if (state::is_barrier(*d.tuple)) {
-      handle_barrier(t, std::move(d));
-      return;
-    }
-    // An open fence splits the input channels at the cut. Aligned, a
-    // fenced channel's tuple belongs to the NEXT epoch: it waits in the
-    // stash, uncharged, until the fence closes. Unaligned, an unfenced
-    // channel's tuple is pre-barrier traffic arriving after the cut: it is
-    // captured into the epoch's channel state (after the duplicate filter
-    // below) and ALSO processed live — its effects land outside the snapshot,
-    // which is exactly why recovery re-applies the captured copy.
-    if (!t.fenced.empty()) {
-      const bool fenced =
-          t.fenced.count(chan_key(d.tuple->stream, d.src_task)) != 0;
-      if (cfg_.state.unaligned) {
-        capture = !fenced;
-      } else if (fenced) {
-        t.stash.push_back(std::move(d));
-        t.processing = false;
-        pump_task(t);
-        return;
-      }
-    }
-  }
+  // The checkpoint protocol takes barriers, stale copies, stashed tuples
+  // and a sink's committed roots (and resumes the executor itself).
+  if (state_on() && !ckpt_->admit(t.id, d)) return;
   std::shared_ptr<const dsps::Tuple> tuple = std::move(d.tuple);
   const uint64_t ack_edge = d.ack_edge;
   const bool replayed = d.replayed;
   const auto& op = topo_.ops[static_cast<size_t>(t.op)];
-  // Sink-side exactly-once filter: a root whose effects are already inside
-  // the committed snapshot (delivered again by a checkpoint replay or a
-  // stale wire copy) is dropped before user logic runs. Channel-state
-  // re-injections are exempt: their roots may have committed (the epoch
-  // whose capture they rode), but their live effects were NOT in that
-  // epoch's snapshot — recovery must re-apply them.
-  if (state_on() && !t.spout && op.out_streams.empty() &&
-      !d.from_channel_state && checkpoints_.root_committed(tuple->root_id)) {
-    ++checkpoints_.stats().duplicates_filtered;
-    if (cfg_.enable_acking && ack_edge != 0) acker_.acked(tuple->root_id, ack_edge);
-    t.processing = false;
-    pump_task(t);
-    return;
-  }
-  if (capture) t.captured.push_back(*tuple);
   // Per-(stream, destination instance) load accounting: feeds the
   // load-imbalance gauges and the report's stream_routing rows.
   if (!t.spout) {
@@ -1024,12 +873,9 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
   if (t.spout) {
     cost = t.spout->emit_cost();
     emissions.emplace_back(0, *tuple);
-    // Epoch log (source offsets): this root belongs to the epoch the NEXT
-    // barrier will open (tags > last_committed form the rewind set).
-    // Replayed deliveries keep their original log entry.
-    if (state_on() && !replayed) {
-      checkpoints_.log_emission(t.id, t.epoch + 1, *tuple);
-    }
+    // Epoch log (source offsets); replayed deliveries keep their original
+    // entry.
+    if (state_on() && !replayed) ckpt_->log_emission(t.id, *tuple);
   } else {
     dsps::Emitter em;
     cost = t.bolt->execute(*tuple, em);
@@ -1055,7 +901,7 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
       }
       // Exactly-once bookkeeping: pending until this sink's next barrier
       // seals the epoch; committed with the epoch's snapshot.
-      if (state_on()) checkpoints_.sink_pending(t.id, tuple->root_id);
+      if (state_on()) ckpt_->sink_pending(t.id, tuple->root_id);
     }
   }
   // The M/D/1 model's per-tuple fixed term includes the source's own
@@ -1158,7 +1004,7 @@ void Engine::deliver_local(TaskRt& dst,
     if (bar) {
       // A barrier swallowed by a dead worker can never align: the epoch
       // is doomed, abort it promptly instead of stalling until the tick.
-      schedule_epoch_abort(state::barrier_epoch(*tup));
+      ckpt_->barrier_lost(state::barrier_epoch(*tup));
       return;
     }
     // No NACK from a dead worker: the loss surfaces as an ack timeout.
@@ -1189,7 +1035,7 @@ void Engine::deliver_local(TaskRt& dst,
   if (!dst.in_queue->try_push(d)) {
     if (bar) {
       // Barrier shed by a full executor queue: the epoch cannot complete.
-      schedule_epoch_abort(state::barrier_epoch(*tup));
+      ckpt_->barrier_lost(state::barrier_epoch(*tup));
       return;
     }
     if (in_window()) {
@@ -1319,7 +1165,7 @@ void Engine::send_point_to_point(TaskRt& t,
                     m.root_id = track_root;
                     m.src_task = traw->id;
                     m.barrier = bar;
-                    m.gen = recovery_gen_;
+                    m.gen = ckpt_->gen();
                     transport_->push(traw->worker, std::move(m),
                                      [next] { next(); });
                   });
@@ -1390,7 +1236,7 @@ void Engine::send_point_to_point(TaskRt& t,
                                  m.root_id = track_root;
                                  m.src_task = traw->id;
                                  m.barrier = bar;
-                                 m.gen = recovery_gen_;
+                                 m.gen = ckpt_->gen();
                                  transport_->push(traw->worker, std::move(m),
                                                   [next] { next(); });
                                });
@@ -1412,7 +1258,7 @@ void Engine::send_point_to_point(TaskRt& t,
                     after_local = std::move(after_local)]() mutable {
                      for (int dd : locals) {
                        deliver_local(*tasks_[static_cast<size_t>(dd)], tup,
-                                     src, recovery_gen_);
+                                     src, ckpt_->gen());
                      }
                      after_local();
                    });
@@ -1486,7 +1332,7 @@ void Engine::send_mcast(TaskRt& t, const McastGroups::Group& g,
                                  graw->dst_op)];
     for (int d : locals) {
       deliver_local(*tasks_[static_cast<size_t>(d)], tup, traw->id,
-                    recovery_gen_);
+                    ckpt_->gen());
     }
 
     // Relay to the source's direct cascading endpoints, one scheduling
@@ -1530,7 +1376,7 @@ void Engine::send_mcast(TaskRt& t, const McastGroups::Group& g,
             m.root_id = tracked ? root : 0;
             m.src_task = traw->id;
             m.barrier = bar;
-            m.gen = recovery_gen_;
+            m.gen = ckpt_->gen();
             transport_->push(traw->worker, std::move(m), [next] { next(); });
           });
     });
@@ -1792,17 +1638,9 @@ void Engine::arm_faults() {
 }
 
 uint64_t Engine::drain_task(TaskRt& t) {
+  if (state_on()) return ckpt_->drain(t.id);
   uint64_t dropped = 0;
-  while (auto d = t.in_queue->try_pop()) {
-    if (!state::is_barrier(*d->tuple)) ++dropped;
-  }
-  for (const auto& d : t.stash) {
-    if (!state::is_barrier(*d.tuple)) ++dropped;
-  }
-  t.stash.clear();
-  // Nothing waits on a dead fence: it closes without counting stall.
-  t.fenced.clear();
-  close_fence(t);
+  while (t.in_queue->try_pop()) ++dropped;
   return dropped;
 }
 
@@ -1824,8 +1662,8 @@ void Engine::on_node_crash(int node) {
     t->processing = false;
   }
   // A crash dooms any in-flight epoch (some snapshot or barrier is gone):
-  // abort it now so alignment elsewhere unblocks and fences lift.
-  if (state_on()) abort_epoch();
+  // aborting it now unblocks alignment elsewhere and lifts the fences.
+  if (state_on()) ckpt_->abort();
   transport_->reset_qps(node);
   mcast_->on_crash(node);
 }
@@ -1841,33 +1679,18 @@ void Engine::on_node_restart(int node) {
   // Fresh process: peers re-create their queue pairs empty.
   transport_->reset_qps(node);
   mcast_->on_restart(node);
-  // Checkpoint recovery: after the simulated restore-read delay, roll the
-  // whole topology back to the last committed epoch and replay the spouts'
-  // uncommitted emissions. recovery_gen_ lets a newer restart supersede a
-  // restore still in flight.
+  // Checkpoint recovery. The restarted node's receive CPU posts the
+  // restore read (on the remote medium a one-sided READ: the state host's
+  // CPU stays idle).
   if (state_on()) {
-    const uint64_t gen = ++recovery_gen_;
-    const Time start = cur_sim().now();
-    const double bytes =
-        static_cast<double>(ckpt_store_->committed_bytes_total());
-    // The restarted node's receive CPU posts the read (on the remote
-    // medium a one-sided READ: the state host's CPU stays idle).
-    ckpt_store_->read_images(
-        &transport_->recv_cpu(node), node, [this, gen, node, start, bytes] {
-          if (trace_on()) {
-            tracer_.complete("state.restore", "fault", node,
-                             obs::kLaneControl, start,
-                             cur_sim().now() - start, 0, "bytes", bytes);
-          }
-          if (gen == recovery_gen_) do_recover();
-        });
+    ckpt_->on_restart(node, &transport_->recv_cpu(node));
   }
   transport_->pump(node);
 }
 
 void Engine::maybe_replay(uint64_t root) {
   if (!cfg_.replay_on_failure) return;
-  // Checkpointed streams rewind from the epoch log instead (do_recover).
+  // Checkpointed streams rewind from the epoch log instead.
   if (state_on()) return;
   auto it = replays_.find(root);
   if (it == replays_.end()) return;
@@ -1899,7 +1722,7 @@ void Engine::maybe_replay(uint64_t root) {
   }
   acker_.root_emitted(root, cur_sim().now());
   Delivery rep{tuple, 0};
-  rep.gen = recovery_gen_;
+  rep.gen = ckpt_->gen();
   if (!tk.in_queue->try_push(std::move(rep))) {
     // Spout queue full: fail again, which re-enters maybe_replay (bounded
     // by kMaxReplaysPerRoot).
@@ -1909,206 +1732,16 @@ void Engine::maybe_replay(uint64_t root) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpointing: epoch barriers, aligned snapshots, exactly-once recovery
+// Checkpointing: the component's Hooks
 // ---------------------------------------------------------------------------
 
-void Engine::checkpoint_tick() {
-  // An epoch that did not finish within one interval is wedged (a barrier
-  // was lost, a worker died, a queue stayed full): abort it. This bounds
-  // alignment stall at one interval and makes alignment deadlock-free.
-  if (checkpoints_.in_flight()) abort_epoch();
-  // Skip injection while the cluster is unstable — the epoch would only
-  // abort again. Checkpointing resumes at the next tick.
-  for (const auto& wp : workers_) {
-    if (!fabric_->node_up(wp->node)) return;
-  }
-  if (mcast_->reconfiguring()) return;
-  inject_epoch();
-}
-
-void Engine::inject_epoch() {
-  const uint64_t epoch = checkpoints_.begin_epoch(cur_sim().now());
-  epoch_inject_time_ = cur_sim().now();
-  // An adopted rescale plan rides the next epoch: its barriers quiesce the
-  // affected operators at alignment, and the commit runs the migration.
-  if (elastic_on() && pending_plan_ && rescale_epoch_ == 0) {
-    rescale_epoch_ = epoch;
-    rescale_start_ = cur_sim().now();
-    if (trace_on()) {
-      tracer_.instant("rescale.begin", "elastic",
-                      primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                      obs::kLaneControl, cur_sim().now(),
-                      static_cast<uint64_t>(pending_plan_->op));
-    }
-  }
-  bool ok = false;
-  for (auto& tp : tasks_) {
-    if (!tp->spout) continue;
-    ++checkpoints_.stats().barriers_injected;
-    if (c_barriers_) c_barriers_->inc();
-    auto b = std::make_shared<const dsps::Tuple>(
-        state::make_barrier(epoch, /*src_task=*/-1));
-    Delivery bd{b, 0};
-    bd.gen = recovery_gen_;
-    if (!tp->in_queue->try_push(std::move(bd))) {
-      // A spout queue so full even the barrier bounces: give up on this
-      // epoch (the barrier would arrive behind an unbounded backlog
-      // anyway) and retry at the next tick.
-      abort_epoch();
-      return;
-    }
-    ok = true;
-  }
-  if (trace_on()) {
-    tracer_.instant("barrier.inject", "state",
-                    primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                    obs::kLaneControl, cur_sim().now(), epoch);
-  }
-  if (!ok) abort_epoch();  // no spouts: nothing can ever align
-}
-
-void Engine::schedule_epoch_abort(uint64_t epoch) {
-  // Deferred: barrier losses surface deep inside delivery callbacks where
-  // aborting (which re-pumps executors) could re-enter the caller.
-  cur_sim().schedule_after(0, [this, epoch] {
-    if (checkpoints_.in_flight() && checkpoints_.current_epoch() == epoch) {
-      abort_epoch();
-    }
-  });
-}
-
-void Engine::abort_epoch() {
-  if (!checkpoints_.in_flight()) return;
-  const uint64_t epoch = checkpoints_.current_epoch();
-  checkpoints_.abort_epoch();
-  if (c_epoch_aborts_) c_epoch_aborts_->inc();
-  if (trace_on()) {
-    tracer_.instant("epoch.abort", "state",
-                    primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                    obs::kLaneControl, cur_sim().now(), epoch);
-  }
-  // Lift the tree fences and release every fenced executor.
-  mcast_->lift_fences();
-  ckpt_store_->abort(epoch);
-  for (auto& tp : tasks_) tp->store.drop_pending_baseline();
-  // A rescale riding this epoch dies with it: release the quiesced tasks
-  // (the pumps below restart them) and put the controller back in steady
-  // state. The plan is NOT retried verbatim — if the backlog persists, the
-  // controller re-issues after its cooldown.
-  if (elastic_on() && epoch == rescale_epoch_) cancel_rescale();
-  for (auto& tp : tasks_) {
-    close_fence(*tp);
-    pump_task(*tp);
-  }
-}
-
-void Engine::handle_barrier(TaskRt& t, Delivery d) {
-  const dsps::Tuple& b = *d.tuple;
-  const uint64_t epoch = state::barrier_epoch(b);
-  // Tree fence: this barrier copy has left the dissemination structure.
-  if (!t.spout) mcast_->exit_fence(static_cast<int>(b.stream));
-  if (!checkpoints_.in_flight() || epoch != checkpoints_.current_epoch() ||
-      epoch <= t.epoch) {
-    // Barrier of an aborted or superseded epoch: discard.
-    t.processing = false;
-    pump_task(t);
-    return;
-  }
-  // Fence the barrier's channel. The snapshot is cut at the last barrier
-  // when aligned and at the first when unaligned; the epoch is sealed at
-  // the last in both modes. A spout or single-channel task opens, cuts and
-  // seals on its one barrier.
-  const bool first = t.fenced.empty();
-  if (first) t.fence_start = cur_sim().now();
-  t.fenced.insert(chan_key(b.stream, state::barrier_src_task(b)));
-  const bool last = static_cast<int>(t.fenced.size()) >= t.expected_barriers;
-  const bool cut = cfg_.state.unaligned ? first : last;
-  Duration ser = 0;
-  if (cut) {
-    t.cut = ckpt_store_->take(t.store);
-    // The serializer walks every cell even when only a delta ships, so the
-    // CPU charge follows the FULL image size.
-    ser = cfg_.cost.ser_time(t.cut->stats.full_bytes);
-    const auto& op = topo_.ops[static_cast<size_t>(t.op)];
-    if (!t.spout && op.out_streams.empty()) checkpoints_.sink_seal(t.id);
-  }
-  // Seal: stage the cut and the captured channel state, then write them.
-  // The epoch watermark moves only now — while an unaligned fence is open,
-  // the staleness guard above must keep admitting this epoch's barriers.
-  std::optional<state::CheckpointStore::Snapshot> sealed;
-  uint64_t channel_bytes = 0;
-  if (last) {
-    t.epoch = epoch;
-    sealed = std::move(t.cut);
-    [[maybe_unused]] const bool staged =
-        checkpoints_.stage(t.id, epoch, sealed->stats);
-    assert(staged);  // the staleness guard above checked the same epoch
-    for (const auto& tup : t.captured) channel_bytes += tup.approx_bytes();
-    checkpoints_.stage_channel_state(t.id, epoch, std::move(t.captured),
-                                     channel_bytes);
-    close_fence(t);
-  }
-  TaskRt* traw = &t;
-  auto resume = [this, traw, epoch, sealed = std::move(sealed),
-                 channel_bytes]() mutable {
-    if (sealed) {
-      schedule_snapshot_write(*traw, epoch, std::move(*sealed), channel_bytes);
-      // Quiesce for a rescale riding this epoch: the snapshot write is
-      // already in flight (commit never waits on a quiesced task) and the
-      // barrier is forwarded, so holding the executor here leaves every
-      // pre-epoch tuple processed and nothing new admitted — per-channel
-      // FIFO then guarantees the rescaled operator's queues are empty of
-      // this epoch's data at commit.
-      if (elastic_on() && epoch == rescale_epoch_ &&
-          in_quiesce_set(traw->op)) {
-        traw->quiesced = true;
-      }
-    }
-    traw->processing = false;
-    pump_task(*traw);
-  };
-  if (!cut) {
-    resume();
-    return;
-  }
-  // Serialization is the only synchronous cost the executor pays; the
-  // barrier is forwarded BEFORE the stash drains (downstream FIFO order),
-  // and the checkpoint-store write proceeds off the critical path.
-  t.cpu->execute(ser, sim::CpuCategory::kSerialization,
-                 [this, traw, epoch, resume = std::move(resume)]() mutable {
-                   forward_barrier(*traw, epoch, std::move(resume));
-                 });
-}
-
-void Engine::close_fence(TaskRt& t) {
-  if (!t.fenced.empty() && !cfg_.state.unaligned) {
-    checkpoints_.stats().align_stall_total += cur_sim().now() - t.fence_start;
-  }
-  t.fenced.clear();
-  t.cut.reset();
-  t.captured.clear();
-}
-
-void Engine::schedule_snapshot_write(TaskRt& t, uint64_t epoch,
-                                     state::CheckpointStore::Snapshot snap,
-                                     uint64_t channel_bytes) {
-  const int task = t.id;
-  ckpt_store_->write(task, epoch, t.cpu.get(), std::move(snap), channel_bytes,
-                     [this, task, epoch] {
-                       if (checkpoints_.write_complete(task, epoch)) {
-                         commit_epoch();
-                       }
-                     });
-}
-
-void Engine::forward_barrier(TaskRt& t, uint64_t epoch,
-                             InlineFunction done) {
-  const auto& op = topo_.ops[static_cast<size_t>(t.op)];
+void Engine::forward_barrier(int task, uint64_t epoch, InlineFunction done) {
+  TaskRt* traw = tasks_[static_cast<size_t>(task)].get();
+  const auto& op = topo_.ops[static_cast<size_t>(traw->op)];
   if (op.out_streams.empty()) {
     done();
     return;
   }
-  TaskRt* traw = &t;
   loop_async([this, traw, epoch, streams = op.out_streams, idx = size_t{0},
               done = std::move(done)](auto next) mutable {
     if (idx >= streams.size()) {
@@ -2123,7 +1756,7 @@ void Engine::forward_barrier(TaskRt& t, uint64_t epoch,
       if (!mcast_->enter_fence(*g)) {
         // Never push a barrier into a reconfiguring tree — the epoch must
         // not straddle a topology change, so it aborts instead.
-        schedule_epoch_abort(epoch);
+        ckpt_->barrier_lost(epoch);
         next();
         return;
       }
@@ -2139,137 +1772,23 @@ void Engine::forward_barrier(TaskRt& t, uint64_t epoch,
   });
 }
 
-void Engine::commit_epoch() {
-  const uint64_t epoch = checkpoints_.current_epoch();
-  // Merge the staged deltas into the committed images, then promote the
-  // local baselines to match — the next delta diffs against exactly what
-  // the store now holds.
-  ckpt_store_->commit(epoch);
-  for (auto& tp : tasks_) tp->store.commit_baseline();
-  checkpoints_.commit(cur_sim().now());
-  const auto& st = checkpoints_.stats();
-  if (c_epochs_) {
-    c_epochs_->set(st.epochs_completed);
-    c_snapshot_bytes_->set(st.snapshot_bytes_total);
-    c_committed_->set(st.committed_completions);
-    c_dup_filtered_->set(st.duplicates_filtered);
-  }
-  if (trace_on()) {
-    tracer_.complete("checkpoint", "state",
-                     primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                     obs::kLaneControl, epoch_inject_time_,
-                     cur_sim().now() - epoch_inject_time_, epoch);
-  }
-  // All barrier copies were consumed before the last snapshot staged, but
-  // a fence held by a copy lost to a racing crash must not outlive the
-  // epoch: lift any straggler.
-  mcast_->lift_fences();
-  // A committed rescale epoch runs its migration now: every affected task
-  // is quiesced with its state captured in THIS epoch's committed images,
-  // no group is reconfiguring, and no barrier is in any tree — the
-  // one point in the protocol where the topology can change atomically.
-  if (elastic_on() && epoch == rescale_epoch_) execute_rescale(epoch);
+void Engine::resume(int task) {
+  TaskRt& t = *tasks_[static_cast<size_t>(task)];
+  t.processing = false;
+  pump_task(t);
 }
 
-void Engine::do_recover() {
-  checkpoints_.rewind_to_committed();
-  mcast_->lift_fences();
-  const uint64_t committed = checkpoints_.last_committed();
-  for (auto& tp : tasks_) {
-    auto& t = *tp;
-    if (!t.active) continue;  // retired by a rescale; nothing to roll back
-    // Roll back: everything queued or fenced past the committed epoch is
-    // superseded by the log replay below (counted lost like any discarded
-    // instance).
-    count_lost(drain_task(t));
-    t.epoch = committed;
-    // Spout stores are source-reader state: the live value already covers
-    // every logged emission, and the log replay below re-delivers the
-    // uncommitted gap. Rolling a spout back to the committed image would
-    // make post-recovery generation repeat the replayed offsets as fresh
-    // roots — duplicates the root-id filter cannot see. The spout's
-    // ROUTING cells are the exception: shuffle cursors (and friends) must
-    // rewind to the committed epoch, or the replayed emissions take
-    // different routes than their originals did.
-    // The committed image (its read already paid by on_node_restart);
-    // empty until the task's first commit on the local store.
-    const auto& img = ckpt_store_->committed_image(t.id);
-    if (t.spout) {
-      if (t.store.has_cell_matching(dsps::is_routing_cell)) {
-        t.store.restore_if(img.empty() ? t.epoch0_image : img,
-                           dsps::is_routing_cell);
-      }
-    } else if (!img.empty()) {
-      t.store.restore(img);
-    } else if (t.store.cell_count() > 0) {
-      // Nothing committed yet: back to the operator's initial state.
-      t.store.restore(t.epoch0_image);
-    }
-    // Rebase the delta baselines onto the image the store holds: the next
-    // incremental snapshot diffs against the post-recovery committed
-    // state, not against pre-crash garbage.
-    t.store.rebase(img.empty() ? t.epoch0_image : img);
-  }
-  if (trace_on()) {
-    tracer_.instant("state.recovered", "state",
-                    primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                    obs::kLaneControl, cur_sim().now(), committed);
-  }
-  // Re-apply the committed epoch's in-flight channel state (unaligned
-  // barriers): these tuples were processed live AFTER the snapshot was
-  // taken, so the restored image does not contain their effects. They are
-  // re-injected ahead of the spout replay (they are older than anything
-  // the log re-emits) and flagged to bypass the sink dup filter.
-  for (auto& tp : tasks_) {
-    if (!tp->active) continue;
-    for (const auto& tup : checkpoints_.committed_channel(tp->id)) {
-      Delivery d{std::make_shared<const dsps::Tuple>(tup), 0};
-      d.gen = recovery_gen_;
-      d.from_channel_state = true;
-      if (tp->in_queue->try_push(std::move(d))) {
-        ++checkpoints_.stats().channel_replayed;
-      } else {
-        count_lost();
-      }
-    }
-  }
-  // Rewind every spout to the committed epoch's source offsets.
-  for (auto& tp : tasks_) {
-    if (!tp->spout || !tp->active) continue;
-    auto log = checkpoints_.uncommitted_emissions(tp->id);
-    if (!log.empty()) replay_spout_log(*tp, std::move(log));
-  }
+void Engine::replayed(uint64_t root) {
+  // A replay is a fresh emission instance for conservation purposes (the
+  // earlier instance was written off as lost at the rollback).
+  if (c_roots_) c_roots_->inc();
+  if (cfg_.enable_acking) acker_.root_emitted(root, cur_sim().now());
 }
 
-void Engine::replay_spout_log(TaskRt& s, std::vector<dsps::Tuple> tuples) {
-  auto list = std::make_shared<std::vector<dsps::Tuple>>(std::move(tuples));
-  auto idx = std::make_shared<size_t>(0);
-  const uint64_t gen = recovery_gen_;
-  TaskRt* st = &s;
-  loop_async([this, list, idx, st, gen](auto next) {
-    if (gen != recovery_gen_) return;  // a newer recovery owns the rewind
-    if (*idx >= list->size()) return;
-    if (!fabric_->node_up(st->node)) return;
-    auto tup = std::make_shared<dsps::Tuple>((*list)[*idx]);
-    tup->root_emit_time = cur_sim().now();
-    Delivery d{tup, 0};
-    d.replayed = true;
-    d.gen = gen;
-    if (st->in_queue->try_push(std::move(d))) {
-      ++*idx;
-      ++checkpoints_.stats().replayed_tuples;
-      // A replay is a fresh emission instance for conservation purposes
-      // (the earlier instance was written off as lost at the rollback).
-      if (c_roots_) c_roots_->inc();
-      if (c_ckpt_replays_) c_ckpt_replays_->inc();
-      if (cfg_.enable_acking) acker_.root_emitted(tup->root_id, cur_sim().now());
-      // One event per injected tuple keeps the recursion flat and lets
-      // replay interleave with regular pumping deterministically.
-      cur_sim().schedule_after(0, [next] { next(); });
-      return;
-    }
-    st->in_queue->wait_for_space([next] { next(); });
-  });
+void Engine::filtered(const Delivery& d) {
+  if (cfg_.enable_acking && d.ack_edge != 0) {
+    acker_.acked(d.tuple->root_id, d.ack_edge);
+  }
 }
 
 }  // namespace whale::core

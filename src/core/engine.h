@@ -11,7 +11,6 @@
 // forward raw bytes without re-serialization.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/checkpoints.h"
 #include "core/config.h"
 #include "core/mcast_groups.h"
 #include "core/message.h"
@@ -39,13 +39,13 @@
 #include "sim/parallel.h"
 #include "sim/queue.h"
 #include "sim/simulation.h"
-#include "state/checkpoint.h"
-#include "state/checkpoint_store.h"
 #include "state/state_store.h"
 
 namespace whale::core {
 
-class Engine {
+// The engine drives the data path; the checkpoint component calls back
+// through its Hooks (privately inherited: they are not Engine's API).
+class Engine final : private Checkpoints::Hooks {
  public:
   Engine(EngineConfig cfg, dsps::Topology topo);
   ~Engine();
@@ -96,12 +96,6 @@ class Engine {
   // drain post-window events may call it again for a settled census.
   void obs_finalize();
 
-  // --- checkpointing ------------------------------------------------------
-  // Epoch/commit/exactly-once bookkeeping; inert unless cfg_.state.enabled.
-  const state::CheckpointCoordinator& checkpoints() const {
-    return checkpoints_;
-  }
-
   // --- elastic rescaling (tests) ------------------------------------------
   // Live parallelism of an operator (rescales update it in place).
   int op_parallelism(int op) const {
@@ -117,20 +111,6 @@ class Engine {
   bool op_rescalable(int op) const;
 
  private:
-  // A tuple instance delivered to an executor; the ack edge links it into
-  // the root's XOR ledger when acking is enabled (0 = untracked).
-  struct Delivery {
-    std::shared_ptr<const dsps::Tuple> tuple;
-    uint64_t ack_edge = 0;
-    int32_t src_task = -1;  // producing task (-1 = spout arrival/injection)
-    bool replayed = false;  // checkpoint-recovery re-emission (skip the log)
-    uint64_t gen = 0;       // dataflow incarnation (see OutMsg::gen)
-    // Re-injected in-flight channel state (unaligned barriers). Its root
-    // may sit in the committed-roots filter — the original live pass was
-    // filtered-exempt too, so this bypasses the sink dup filter.
-    bool from_channel_state = false;
-  };
-
   struct TaskRt {
     int id = 0, op = 0, instance = 0, worker = 0, node = 0;
     std::unique_ptr<sim::CpuServer> cpu;
@@ -163,29 +143,8 @@ class Engine {
     uint64_t next_root = 0;
     uint64_t root_stride = 0;
 
-    // Checkpointing (src/state). Barriers fence per input channel: a
-    // channel key is (stream << 32) | src_task, expected_barriers is the
-    // number of channels (sum of upstream parallelism over in-streams; 1
-    // for a spout, whose one input is the barrier injector).
+    // The operator's registered state cells (its checkpoint).
     state::StateStore store;
-    uint64_t epoch = 0;  // last epoch this task sealed
-    int expected_barriers = 0;
-    // The barrier fence, open from an epoch's first barrier at this task
-    // to its last. `fenced` holds the channels whose barrier arrived. The
-    // snapshot is `cut` at the last barrier when aligned and at the first
-    // when unaligned (cfg.state.unaligned), and sealed at the last in both
-    // modes. Aligned, a fenced channel's tuples belong to the next epoch
-    // and wait in `stash`. Unaligned, an unfenced channel's tuples arrive
-    // after the cut but belong to this epoch: they are processed live AND
-    // `captured` as channel state, which recovery re-applies.
-    std::unordered_set<uint64_t> fenced;
-    Time fence_start = 0;
-    std::deque<Delivery> stash;
-    std::optional<state::CheckpointStore::Snapshot> cut;
-    std::vector<dsps::Tuple> captured;
-    // Pristine snapshot taken at run start; recovery target while no
-    // epoch has committed yet.
-    std::vector<uint8_t> epoch0_image;
   };
 
   // A worker process's dataflow side; its threads, transfer queue and
@@ -225,10 +184,6 @@ class Engine {
   TaskRt& add_task(int op, int instance, int worker);
   // Node's core pool under cfg_.model_core_contention, else null.
   sim::CorePool* core_pool(int node) const;
-  // Re-derives every active task's expected_barriers: one alignment
-  // channel per (in-stream, live upstream task) pair; spouts align on the
-  // injected barrier alone.
-  void count_expected_barriers();
 
   // --- data path -----------------------------------------------------------
   void schedule_arrival(int task);
@@ -270,50 +225,31 @@ class Engine {
 
   // --- fault injection & recovery -------------------------------------------
   void arm_faults();
-  // Empties t's in-queue and stash and drops its barrier fence uncounted
-  // (the process or incarnation that held it is gone); returns the data
-  // tuples dropped (barriers are not counted).
+  // Empties t's in-queue (and with state on its stash and fence); returns
+  // the data tuples dropped.
   uint64_t drain_task(TaskRt& t);
   void on_node_crash(int node);
   void on_node_restart(int node);
   void maybe_replay(uint64_t root);
   // Counts `n` data tuples lost in both ledgers (report and obs).
-  void count_lost(uint64_t n = 1) {
+  void count_lost(uint64_t n = 1) override {
     tuples_lost_ += n;
     if (c_lost_) c_lost_->inc(n);
   }
 
-  // --- checkpointing (src/state) --------------------------------------------
+  // --- checkpointing: the Hooks the component calls --------------------------
   bool state_on() const { return cfg_.state.enabled; }
-  static uint64_t chan_key(uint32_t stream, int src_task) {
-    return (static_cast<uint64_t>(stream) << 32) |
-           static_cast<uint32_t>(src_task);
-  }
-  void checkpoint_tick();
-  void inject_epoch();
-  // Deferred (scheduled) abort of `epoch` if it is still the in-flight one;
-  // safe to call from deep inside delivery callbacks.
-  void schedule_epoch_abort(uint64_t epoch);
-  void abort_epoch();
-  // Fences the barrier's channel at t; cuts the snapshot, forwards the
-  // barrier and seals the epoch where t's fence says so (see TaskRt).
-  void handle_barrier(TaskRt& t, Delivery d);
-  // Closes t's fence: its open time is align stall when aligned, and the
-  // fenced channels, cut and capture are dropped. The stash stays; it
-  // drains first when t resumes.
-  void close_fence(TaskRt& t);
-  // Ships t's snapshot to the checkpoint store; drives write_complete ->
-  // commit_epoch. `channel_bytes` rides the same write (in-flight channel
-  // state).
-  void schedule_snapshot_write(TaskRt& t, uint64_t epoch,
-                               state::CheckpointStore::Snapshot snap,
-                               uint64_t channel_bytes);
-  // Emits `epoch`'s barrier on every out-stream of t (its own frames, never
-  // batched with data); `done` fires once every copy is queued.
-  void forward_barrier(TaskRt& t, uint64_t epoch, InlineFunction done);
-  void commit_epoch();
-  void do_recover();
-  void replay_spout_log(TaskRt& s, std::vector<dsps::Tuple> tuples);
+  // Emits `epoch`'s barrier on every out-stream of `task` (its own frames,
+  // never batched with data).
+  void forward_barrier(int task, uint64_t epoch, InlineFunction done) override;
+  void resume(int task) override;
+  void replayed(uint64_t root) override;
+  void filtered(const Delivery& d) override;
+  // Elastic rescaling rides these (engine_elastic.cc).
+  void epoch_begun(uint64_t epoch) override;
+  void task_sealed(int task, uint64_t epoch) override;
+  void epoch_committed(uint64_t epoch) override;
+  void epoch_aborted(uint64_t epoch) override;
 
   // --- elastic rescaling (src/elastic; engine_elastic.cc) -------------------
   bool elastic_on() const { return cfg_.elastic.enabled; }
@@ -332,7 +268,7 @@ class Engine {
   }
   // Runs the adopted plan at its epoch's commit: merge + re-split keyed
   // state, spawn/retire instances, rewire routing, rebuild mcast groups.
-  void execute_rescale(uint64_t epoch);
+  void execute_rescale();
   // The rescale epoch aborted (lost barrier, crash, wedge): release the
   // quiesced tasks and return the controller to steady state.
   void cancel_rescale();
@@ -437,19 +373,15 @@ class Engine {
   std::vector<uint64_t> mcast_processed_per_stream_;
   std::vector<uint32_t> stream_dst_count_;
 
-  // Checkpointing runtime. recovery_gen_ invalidates in-flight restore /
-  // replay continuations when a newer recovery supersedes them.
-  state::CheckpointCoordinator checkpoints_;
-  // Every task's snapshot images, on the local store or (cfg_.state.remote)
-  // the state-host node appended to the fabric. Exists iff state_on().
-  std::unique_ptr<state::CheckpointStore> ckpt_store_;
-  uint64_t recovery_gen_ = 0;
-  Time epoch_inject_time_ = 0;
+  // Epoch barriers, snapshots and recovery (core/checkpoints.h). Always
+  // built (the data path stamps its incarnation); it is held in place, so
+  // that stamp is one load.
+  std::optional<Checkpoints> ckpt_;
 
   // Elastic rescaling runtime (engine_elastic.cc). escalers_ is indexed by
   // operator; null for ops the eligibility rules exclude. One plan is in
-  // flight engine-wide at a time: elastic_tick adopts it, the next
-  // inject_epoch stamps it onto rescale_epoch_, commit executes it.
+  // flight engine-wide at a time: elastic_tick adopts it, the next epoch
+  // to begin stamps it onto rescale_epoch_, that epoch's commit executes it.
   std::vector<std::unique_ptr<elastic::ScalingController>> escalers_;
   std::optional<elastic::RescalePlan> pending_plan_;
   uint64_t rescale_epoch_ = 0;  // 0 = no rescale riding an epoch
@@ -487,14 +419,6 @@ class Engine {
   obs::Counter* c_qp_fabric_drops_ = nullptr;  // QP->fabric drops (finalized)
   obs::Counter* c_inflight_ = nullptr;      // end-of-run census (finalized)
   LatencyHistogram* h_sink_latency_ = nullptr;
-  // Checkpointing counters (state.* namespace; set from coordinator stats).
-  obs::Counter* c_epochs_ = nullptr;
-  obs::Counter* c_epoch_aborts_ = nullptr;
-  obs::Counter* c_barriers_ = nullptr;
-  obs::Counter* c_snapshot_bytes_ = nullptr;
-  obs::Counter* c_committed_ = nullptr;
-  obs::Counter* c_dup_filtered_ = nullptr;
-  obs::Counter* c_ckpt_replays_ = nullptr;
   // Elastic counters (elastic.* namespace).
   obs::Counter* c_el_polls_ = nullptr;
   obs::Counter* c_el_ups_ = nullptr;

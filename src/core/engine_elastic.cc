@@ -4,20 +4,21 @@
 // the per-operator ScalingControllers, and the migration protocol that
 // executes an adopted plan at the commit of the epoch it rides.
 //
-// Protocol summary. elastic_tick adopts at most one plan engine-wide;
-// the next inject_epoch stamps it onto that epoch (rescale_epoch_). Every
-// task in the quiesce set — the rescaled operator plus every operator
-// with a stream into it — freezes at its own barrier alignment, AFTER
-// forwarding the barrier and launching its snapshot write, so the commit
-// never waits on a quiesced executor. Per-channel FIFO then guarantees
-// that when the epoch commits, the rescaled operator's queues hold no
-// data: everything its upstreams emitted before quiescing was processed
-// before the operator's own alignment. commit_epoch calls
-// execute_rescale at its very end — no epoch in flight, no group
-// switching or repairing, no barrier inside any tree — the one point
-// where the topology can change atomically. An epoch abort instead calls
-// cancel_rescale: the plan dies with the epoch (the controller re-issues
-// after its cooldown if the backlog persists).
+// Protocol summary. A rescale rides an epoch through the checkpoint
+// component's events (core/checkpoints.h). elastic_tick adopts at most one
+// plan engine-wide; the next epoch to begin stamps it (rescale_epoch_).
+// Every task in the quiesce set — the rescaled operator plus every
+// operator with a stream into it — freezes when it seals that epoch,
+// AFTER forwarding the barrier and launching its snapshot write, so the
+// commit never waits on a quiesced executor. Per-channel FIFO then
+// guarantees that when the epoch commits, the rescaled operator's queues
+// hold no data: everything its upstreams emitted before quiescing was
+// processed before the operator's own alignment. The commit event runs
+// execute_rescale at the very end of the commit — no epoch in flight, no
+// group switching or repairing, no barrier inside any tree — the one
+// point where the topology can change atomically. The abort event instead
+// runs cancel_rescale: the plan dies with the epoch (the controller
+// re-issues after its cooldown if the backlog persists).
 //
 // All of this runs on the serial kernel by construction: setup_parallel
 // names "elastic" as a fallback reason before anything here executes, so
@@ -97,6 +98,34 @@ bool Engine::op_rescalable(int op) const {
   });
 }
 
+void Engine::epoch_begun(uint64_t epoch) {
+  if (!elastic_on() || !pending_plan_ || rescale_epoch_ != 0) return;
+  rescale_epoch_ = epoch;
+  rescale_start_ = cur_sim().now();
+  if (trace_on()) {
+    tracer_.instant("rescale.begin", "elastic",
+                    primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
+                    obs::kLaneControl, cur_sim().now(),
+                    static_cast<uint64_t>(pending_plan_->op));
+  }
+}
+
+void Engine::task_sealed(int task, uint64_t epoch) {
+  TaskRt& t = *tasks_[static_cast<size_t>(task)];
+  if (elastic_on() && epoch == rescale_epoch_ && in_quiesce_set(t.op)) {
+    t.quiesced = true;
+  }
+}
+
+void Engine::epoch_committed(uint64_t epoch) {
+  if (elastic_on() && epoch == rescale_epoch_) execute_rescale();
+}
+
+void Engine::epoch_aborted(uint64_t epoch) {
+  if (elastic_on() && epoch == rescale_epoch_) cancel_rescale();
+  for (auto& tp : tasks_) pump_task(*tp);  // its fences are closed
+}
+
 double Engine::op_backlog_frac(int op) const {
   if (cfg_.executor_queue_capacity == 0) return 0.0;
   double sum = 0.0;
@@ -163,8 +192,8 @@ void Engine::cancel_rescale() {
   pending_plan_.reset();
   rescale_epoch_ = 0;
   quiesce_ops_.clear();
-  // Release only — abort_epoch's per-task loop pumps everyone right after
-  // this returns, so the frozen executors pick their queues back up.
+  // Release only — epoch_aborted pumps every executor right after this
+  // returns, so the frozen executors pick their queues back up.
   for (auto& tp : tasks_) tp->quiesced = false;
 }
 
@@ -179,7 +208,7 @@ int Engine::place_instance(int op) const {
   return elastic::Placement(cfg_.cluster).pick(peers, load);
 }
 
-void Engine::execute_rescale(uint64_t epoch) {
+void Engine::execute_rescale() {
   const elastic::RescalePlan plan = *pending_plan_;
   const int opi = plan.op;
   const auto& spec = topo_.ops[static_cast<size_t>(opi)];
@@ -227,11 +256,9 @@ void Engine::execute_rescale(uint64_t epoch) {
       t.processing = false;
       // The quiesce protocol should have emptied these; drain defensively
       // and surface anything present on the proof-obligation counter.
-      const uint64_t stale = drain_task(t);
+      const uint64_t stale = ckpt_->retire(tid);
       report_.elastic.stale_drops += stale;
       if (c_el_stale_drops_) c_el_stale_drops_->inc(stale);
-      checkpoints_.erase_task(tid);
-      ckpt_store_->erase_task(tid);
       ++retired;
     }
   } else if (new_n > old_n) {
@@ -248,11 +275,9 @@ void Engine::execute_rescale(uint64_t epoch) {
         ++report_.elastic.cross_rack_placements;
       }
       TaskRt& t = add_task(opi, i, /*worker=*/node);  // one worker per node
-      // Stray barrier copies of the rescale epoch (there are none in any
-      // tree at commit, but the guard is structural) are stale on arrival.
-      t.epoch = epoch;
       // Bound like a build-time task; step 5 then installs its slice.
-      ckpt_store_->bind_task(t.id, t.node, t.store.snapshot());
+      ckpt_->add_task({t.id, t.op, t.node, t.cpu.get(), t.in_queue.get(),
+                       &t.store});
       if (metrics_on()) {
         TaskRt* raw = &t;
         metrics_.gauge("task" + std::to_string(t.id) + ".in_queue", [raw] {
@@ -276,9 +301,8 @@ void Engine::execute_rescale(uint64_t epoch) {
 
   // --- 5. install the re-split state ------------------------------------------
   // Surviving and fresh instances alike restore their keyed slice, learn
-  // the new shape, and have BOTH recovery targets (epoch0 image and the
-  // store's committed image) overwritten — a crash after this cutover
-  // rolls back to exactly the state the rescale installed.
+  // the new shape, and make it their recovery image — a crash after this
+  // cutover rolls back to exactly the state the rescale installed.
   for (size_t i = 0; i < op_tasks_[static_cast<size_t>(opi)].size(); ++i) {
     const int tid = op_tasks_[static_cast<size_t>(opi)][i];
     auto& t = *tasks_[static_cast<size_t>(tid)];
@@ -291,9 +315,7 @@ void Engine::execute_rescale(uint64_t epoch) {
     dsps::TaskContext ctx{t.id, opi, static_cast<int>(i), new_n, t.worker,
                           t.node};
     t.bolt->rescaled(ctx);
-    t.epoch0_image = t.store.snapshot();
-    ckpt_store_->overwrite(tid, t.epoch0_image);
-    t.store.rebase(t.epoch0_image);
+    ckpt_->install(tid);
   }
 
   // --- 6. rewire upstream routing ---------------------------------------------
@@ -323,18 +345,13 @@ void Engine::execute_rescale(uint64_t epoch) {
     }
   }
 
-  // --- 8. alignment channel counts ----------------------------------------------
-  count_expected_barriers();
+  // --- 8. alignment channels and epoch participants ----------------------
+  ckpt_->rescaled();
 
   // --- 9. multicast structures ----------------------------------------------------
   mcast_->rescale(opi);
 
-  // --- 10. coordinator + controller + accounting ----------------------------------
-  int active_tasks = 0;
-  for (const auto& tp : tasks_) {
-    if (tp->active) ++active_tasks;
-  }
-  checkpoints_.set_num_tasks(active_tasks);
+  // --- 10. controller + accounting ---------------------------------------
   escalers_[static_cast<size_t>(opi)]->confirm(new_n, now);
 
   auto& el = report_.elastic;

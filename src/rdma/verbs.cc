@@ -51,7 +51,7 @@ bool QueuePair::transmit(Bundle& bundle, std::function<void()> on_posted) {
       [this, wr_id, bytes, bundle = std::move(owned),
        on_posted = std::move(on_posted)]() mutable {
         if (on_posted) on_posted();
-        const uint64_t n_pkts = bundle.size();
+        const uint64_t n_data = data_packets(bundle);
         const bool sent = fabric_.transmit(
             net::Transport::kRdma, local_.node, remote_.node, bytes,
             [this, wr_id, bytes, bundle = std::move(bundle)]() mutable {
@@ -68,7 +68,7 @@ bool QueuePair::transmit(Bundle& bundle, std::function<void()> on_posted) {
                   });
             },
             cost_.rnic_per_wr);
-        if (!sent) fabric_drops_ += n_pkts;
+        if (!sent) fabric_drops_ += n_data;
       });
   return true;
 }
@@ -111,7 +111,7 @@ void QueuePair::maybe_fetch() {
             pending_.pop_front();
           }
           const uint64_t wr_id = next_wr_id_++;
-          const uint64_t n_pkts = batch.size();
+          const uint64_t n_data = data_packets(batch);
           const bool sent = fabric_.transmit(
               net::Transport::kRdma, local_.node, remote_.node, batch_bytes,
               [this, epoch, wr_id, batch_bytes,
@@ -135,7 +135,7 @@ void QueuePair::maybe_fetch() {
           // the ring bookkeeping, so they are gone for good (and, like any
           // fault mid-READ, the channel stays wedged until reset()).
           if (!sent) {
-            fabric_drops_ += n_pkts;
+            fabric_drops_ += n_data;
             wedged_ = true;
           }
         },
@@ -155,7 +155,7 @@ size_t QueuePair::packets_pending() const {
 void QueuePair::reset() {
   ++resets_;
   ++epoch_;  // fence: any in-flight fetch stage sees a stale epoch and bails
-  for (const auto& b : pending_) packets_lost_ += b.size();
+  for (const auto& b : pending_) packets_lost_ += data_packets(b);
   pending_.clear();
   read_outstanding_ = false;
   wedged_ = false;

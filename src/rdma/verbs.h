@@ -20,6 +20,7 @@
 // in the paper.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -57,6 +58,12 @@ inline uint64_t bundle_bytes(const Bundle& b) {
   uint64_t n = 0;
   for (const auto& p : b) n += p.size();
   return n;
+}
+
+// Packets of `b` that carry data: loss counters skip epoch barriers.
+inline uint64_t data_packets(const Bundle& b) {
+  return std::count_if(b.begin(), b.end(),
+                       [](const Packet& p) { return !p.barrier; });
 }
 
 enum class Verb : uint8_t { kSendRecv = 0, kWrite = 1, kRead = 2 };
@@ -163,11 +170,12 @@ class QueuePair {
   uint64_t packets_sent() const { return packets_sent_; }
   uint64_t packets_delivered() const { return packets_delivered_; }
   uint64_t reads_issued() const { return reads_issued_; }
+  // Data packets dropped by reset(); barriers are not counted.
   uint64_t packets_lost() const { return packets_lost_; }
   uint64_t resets() const { return resets_; }
   // Data packets handed to the fabric but dropped at its entry (dead
   // endpoint / partitioned link) — they left this QP's books without being
-  // delivered or counted in packets_lost.
+  // delivered or counted in packets_lost. Barriers are not counted.
   uint64_t fabric_drops() const { return fabric_drops_; }
   // Packets buffered on the producer side awaiting a READ fetch. Includes
   // packets wedged behind a READ request descriptor the fabric dropped

@@ -25,7 +25,6 @@ void CheckpointStore::install(TaskImage& img,
   for (auto& [name, body] : parse_snapshot(image)) {
     img.cells[std::move(name)] = std::move(body);
   }
-  img.committed = true;
   img.assembled_valid = false;
 }
 
@@ -33,10 +32,11 @@ void CheckpointStore::bind_task(int task, int node,
                                 std::span<const uint8_t> epoch0_image) {
   TaskImage img;
   img.node = node;
+  install(img, epoch0_image);
   if (cfg_.remote) {
-    install(img, epoch0_image);
+    img.committed = true;  // seeded on the host
     img.rkey = mrs_.register_region(
-        std::max<uint64_t>(epoch0_image.size(), cfg_.mr_min_capacity));
+        std::max<uint64_t>(epoch0_image.size(), kMrMinCapacity));
     stats_.regions = mrs_.count();
     stats_.region_bytes = mrs_.registered_bytes();
   }
@@ -45,7 +45,7 @@ void CheckpointStore::bind_task(int task, int node,
 
 CheckpointStore::Snapshot CheckpointStore::take(StateStore& store) const {
   Snapshot s;
-  s.delta = store.snapshot_delta(cfg_.delta_page_bytes,
+  s.delta = store.snapshot_delta(kDeltaPageBytes,
                                  /*force_full=*/!(cfg_.remote &&
                                                   cfg_.incremental),
                                  &s.stats);
@@ -80,7 +80,7 @@ void CheckpointStore::write(int task, uint64_t epoch,
   // charged as extra latency on this write's post.
   Duration extra = 0;
   if (mrs_.ensure_capacity(img.rkey, bytes)) {
-    extra = cfg_.mr_register_latency;
+    extra = kMrRegisterLatency;
     ++stats_.region_grows;
     stats_.region_bytes = mrs_.registered_bytes();
   }
@@ -97,7 +97,7 @@ void CheckpointStore::write(int task, uint64_t epoch,
 
 void CheckpointStore::apply_delta(TaskImage& img,
                                   std::span<const uint8_t> delta) const {
-  const uint64_t page = cfg_.delta_page_bytes;
+  const uint64_t page = kDeltaPageBytes;
   ByteReader r(delta);
   const size_t n_cells = r.get_varint();
   for (size_t i = 0; i < n_cells; ++i) {
@@ -157,15 +157,13 @@ void CheckpointStore::read_images(sim::CpuServer* initiator, int node,
 }
 
 void CheckpointStore::overwrite(int task, std::span<const uint8_t> image) {
-  install(bound(task), image);
+  TaskImage& img = bound(task);
+  install(img, image);
+  img.committed = true;
 }
 
-const std::vector<uint8_t>& CheckpointStore::committed_image(
-    int task) const {
-  static const std::vector<uint8_t> kEmpty;
-  auto it = images_.find(task);
-  if (it == images_.end() || !it->second.committed) return kEmpty;
-  const TaskImage& img = it->second;
+const std::vector<uint8_t>& CheckpointStore::recovery_image(int task) const {
+  const TaskImage& img = images_.at(task);
   if (!img.assembled_valid) {
     // std::map iteration: sorted names.
     img.assembled =
@@ -178,7 +176,7 @@ const std::vector<uint8_t>& CheckpointStore::committed_image(
 uint64_t CheckpointStore::committed_bytes_total() const {
   uint64_t n = 0;
   for (const auto& [task, img] : images_) {
-    n += committed_image(task).size();
+    if (img.committed) n += recovery_image(task).size();
   }
   return n;
 }

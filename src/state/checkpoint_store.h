@@ -8,23 +8,24 @@
 // aborted epoch's staged deltas are dropped, leaving the image exactly at
 // the last commit — the same image the StateStore baselines diff against.
 // Recovery reads the committed images back; an elastic rescale overwrites
-// them.
+// them. Each task's epoch-0 image, kept from bind, is its recovery image
+// until its first commit.
 //
 // cfg.remote picks the medium. It decides only how a write or read is
 // timed and whether a take may skip clean pages:
 //  - local (default): a persistent store on the task's own node (think
 //    NVMe + fsync). Writes and reads take store_transfer_time. Every take
-//    is a full image, accounted at its snapshot() size. Nothing is seeded
-//    at bind, so a task has no committed image until its first commit
-//    (recovery then falls back to the task's epoch-0 image).
+//    is a full image, accounted at its snapshot() size. Nothing is
+//    written at bind, so a task has no committed image until its first
+//    commit, and a restore reads committed images only.
 //  - remote: RDMA-registered memory on a dedicated state-host node
 //    appended to the fabric. A write is a one-sided WRITE, recovery one
 //    one-sided READ; the host's CPU is never scheduled. Images are seeded
 //    from epoch 0 at bind, and with cfg.incremental a take ships only the
 //    dirty pages of dirty cells.
 //
-// Like the CheckpointCoordinator, this is passive bookkeeping plus op
-// scheduling: the engine drives every transition.
+// This is passive bookkeeping plus op scheduling: the checkpoint component
+// (core/checkpoints.h) drives every transition.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +53,15 @@ class CheckpointStore {
   static constexpr double kLocalWriteGbps = 2.0;
   static constexpr double kLocalReadGbps = 4.0;
   static constexpr Duration kLocalReadLatency = us(100);
+  // Page granularity of incremental deltas: smaller pages ship fewer bytes
+  // per dirty cell but more per-page framing.
+  static constexpr uint64_t kDeltaPageBytes = 256;
+  // Remote medium: each task's memory region is registered at bind with
+  // at least kMrMinCapacity bytes and doubled when its image outgrows it;
+  // the WRITE that first needs the grown region pays kMrRegisterLatency
+  // (pinning + rkey exchange, off the data path).
+  static constexpr uint64_t kMrMinCapacity = 4096;
+  static constexpr Duration kMrRegisterLatency = us(50);
 
   // Remote-medium counters; all stay 0 on the local medium.
   struct Stats {
@@ -77,10 +87,10 @@ class CheckpointStore {
   CheckpointStore(net::Fabric& fabric, const net::CostModel& cost,
                   const StateConfig& cfg, int host_node);
 
-  // Registers `task`, whose executor runs on `node`. The remote medium
-  // pins a memory region sized to `epoch0_image` (floored at
-  // cfg.mr_min_capacity) and seeds the host image from it. Must be called
-  // once per task before its first write.
+  // Registers `task`, whose executor runs on `node`, and keeps
+  // `epoch0_image` as its recovery image. The remote medium pins a memory
+  // region sized to it (floored at kMrMinCapacity) and seeds the host
+  // image from it. Must be called once per task before its first write.
   void bind_task(int task, int node, std::span<const uint8_t> epoch0_image);
   // Drops a retired task's image and anything it has staged.
   void erase_task(int task) { images_.erase(task); }
@@ -93,10 +103,9 @@ class CheckpointStore {
   // Ships `snap` for `task` from `initiator` (the task's executor CPU)
   // and stages it for `epoch`. `extra_bytes` rides the same write without
   // entering the image (in-flight channel state under unaligned
-  // barriers). `on_written` fires when the write has landed; the engine
-  // then drives CheckpointCoordinator::write_complete. A remote WRITE
-  // eaten by the fabric (initiator crashed mid-write) fires nothing; the
-  // epoch aborts at the next tick as usual.
+  // barriers). `on_written` fires when the write has landed. A remote
+  // WRITE eaten by the fabric (initiator crashed mid-write) fires nothing;
+  // the epoch aborts at the next tick as usual.
   void write(int task, uint64_t epoch, sim::CpuServer* initiator,
              Snapshot snap, uint64_t extra_bytes,
              std::function<void()> on_written);
@@ -116,9 +125,11 @@ class CheckpointStore {
   // the cutover rolls back to exactly what the rescale installed.
   void overwrite(int task, std::span<const uint8_t> image);
 
-  // Committed image of `task` in snapshot() format (cells in sorted-name
-  // order — deterministic across platforms); empty while it has none.
-  const std::vector<uint8_t>& committed_image(int task) const;
+  // What a recovery restores `task` to, in snapshot() format (cells in
+  // sorted-name order — deterministic across platforms): its committed
+  // image, or its epoch-0 image before its first commit.
+  const std::vector<uint8_t>& recovery_image(int task) const;
+  // What a restore reads: the committed images only.
   uint64_t committed_bytes_total() const;
 
   const Stats& stats() const { return stats_; }
@@ -127,7 +138,8 @@ class CheckpointStore {
   struct TaskImage {
     int node = 0;
     uint32_t rkey = 0;       // remote medium only
-    bool committed = false;  // seeded, committed or overwritten
+    bool committed = false;  // seeded, committed or overwritten (else
+                             // `cells` hold the epoch-0 image)
     std::map<std::string, std::vector<uint8_t>> cells;
     bool staged = false;
     uint64_t staged_epoch = 0;

@@ -10,7 +10,7 @@
 
 namespace whale::state {
 
-// Knobs for the checkpoint coordinator and the simulated persistent store.
+// Knobs for the checkpoint protocol and the simulated persistent store.
 // Lives here (header-only) so core/config.h can embed it without a link
 // dependency on whale_state.
 struct StateConfig {
@@ -46,16 +46,6 @@ struct StateConfig {
   // are captured as channel state (and re-injected at recovery) instead
   // of stalling the executor for alignment.
   bool unaligned = false;
-  // Page granularity of the differential diff. Smaller pages ship fewer
-  // bytes per dirty cell but more per-page framing.
-  uint64_t delta_page_bytes = 256;
-  // Memory-region sizing on the state host: regions are registered at
-  // bind time with at least this capacity and doubled (re-registered)
-  // when a task's image outgrows them.
-  uint64_t mr_min_capacity = 4096;
-  // Latency charged to a snapshot WRITE that first has to re-register a
-  // grown memory region (pinning + rkey exchange, off the data path).
-  Duration mr_register_latency = us(50);
 };
 
 // Modeled time to push `bytes` through the store at `gbps` plus fixed

@@ -345,50 +345,85 @@ TEST(Fuzz, EngineConservesTuplesUnderRandomFaultPlans) {
 
 // --- checkpointing-on sweep ----------------------------------------------
 //
-// Same random topology x fault-plan space with epoch barriers flowing.
-// Exact tuple conservation is NOT asserted here: a barrier caught inside a
-// QP ring by a crash-triggered reset is counted in the QP's packet losses
-// (the verbs layer cannot tell barriers from data), so the data ledger can
-// be off by the stray barriers. What must hold instead:
+// Same random topology x fault-plan space with epoch barriers flowing, on
+// both store media and both barrier modes. What must hold:
 //  - the drain terminates with an empty heap (alignment can never
 //    deadlock: a wedged epoch is aborted at the next tick by design);
-//  - epochs actually commit across the sweep;
-//  - barriers never leak into the data-loss counters the engine owns.
+//  - epochs actually commit and crashes recover across the sweep;
+//  - the data ledger balances exactly. Recovery adds two terms: unaligned
+//    channel state re-injected at a restore is a fresh instance, like a
+//    spout-log replay (which counts as a root); a sink copy dropped by the
+//    exactly-once filter is a terminal bucket of its own:
+//
+//   roots_emitted + channel_reinjections
+//       == sink_completions + input_drops + queue_rejects
+//          + tuples_lost_engine + tuples_lost_qp + qp_fabric_drops
+//          + inflight_end + duplicates_filtered
+//
+//    Barriers never count: not at an executor, in a transfer queue, in a
+//    QP ring reset by a crash, nor in a bundle the fabric refuses.
 TEST(Fuzz, CheckpointAlignmentNeverDeadlocksUnderFaults) {
+  const core::SystemVariant variants[] = {core::SystemVariant::Storm(),
+                                          core::SystemVariant::RdmaStorm(),
+                                          core::SystemVariant::Whale()};
+  const char* vnames[] = {"storm", "rdma-storm", "whale"};
+  const char* mnames[] = {"local-aligned", "local-unaligned",
+                          "remote-incremental"};
   uint64_t total_epochs = 0;
   uint64_t total_recoveries = 0;
   int combos = 0;
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Rng rng(seed * 7919);
-    core::EngineConfig cfg;
-    cfg.cluster.num_nodes = 4 + static_cast<int>(rng.next_below(3));
-    cfg.variant = core::SystemVariant::Whale();
-    cfg.seed = seed;
-    cfg.state.enabled = true;
-    cfg.state.checkpoint_interval = ms(20 + rng.next_below(60));
-    if (rng.bernoulli(0.5)) {
-      cfg.enable_acking = true;
-      cfg.replay_on_failure = true;
-      cfg.ack_timeout = ms(50);
-    }
-    cfg.faults = faults::FaultPlan::random(
-        seed * 131, cfg.cluster.num_nodes, /*horizon=*/ms(350),
-        /*num_faults=*/1 + static_cast<int>(rng.next_below(4)));
-    const double rate = 500.0 + 250.0 * rng.next_below(8);
-    core::Engine e(cfg, random_chain_topo(rng, rate));
-    const auto& r = e.run(ms(50), ms(250));
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    for (size_t vi = 0; vi < 3; ++vi) {
+      for (size_t mi = 0; mi < 3; ++mi) {
+        SCOPED_TRACE(std::string(vnames[vi]) + " " + mnames[mi] +
+                     " seed=" + std::to_string(seed));
+        Rng rng(seed * 7919 + 97 * (3 * vi + mi));
+        core::EngineConfig cfg;
+        cfg.cluster.num_nodes = 4 + static_cast<int>(rng.next_below(3));
+        cfg.variant = variants[vi];
+        cfg.seed = seed;
+        cfg.obs.metrics_enabled = true;
+        cfg.obs.snapshot_interval = ms(50);
+        cfg.state.enabled = true;
+        cfg.state.unaligned = mi == 1;
+        cfg.state.remote = cfg.state.incremental = mi == 2;
+        cfg.state.checkpoint_interval = ms(20 + rng.next_below(60));
+        if (rng.bernoulli(0.5)) {
+          cfg.enable_acking = true;
+          cfg.replay_on_failure = true;
+          cfg.ack_timeout = ms(50);
+        }
+        cfg.faults = faults::FaultPlan::random(
+            seed * 131 + vi, cfg.cluster.num_nodes, /*horizon=*/ms(350),
+            /*num_faults=*/1 + static_cast<int>(rng.next_below(4)));
+        const double rate = 500.0 + 250.0 * rng.next_below(8);
+        core::Engine e(cfg, random_chain_topo(rng, rate));
+        const auto& r = e.run(ms(50), ms(250));
 
-    e.simulation().run(/*max_events=*/50'000'000);
-    ASSERT_TRUE(e.simulation().empty()) << "drain did not terminate";
-    total_epochs += r.epochs_completed;
-    total_recoveries += r.checkpoint_recoveries;
-    ++combos;
+        e.simulation().run(/*max_events=*/50'000'000);
+        ASSERT_TRUE(e.simulation().empty()) << "drain did not terminate";
+        e.obs_finalize();
+        const uint64_t in = obs_count(e, "obs.roots_emitted") +
+                            obs_count(e, "state.channel_reinjections");
+        const uint64_t out = obs_count(e, "obs.sink_completions") +
+                             obs_count(e, "obs.input_drops") +
+                             obs_count(e, "obs.queue_rejects") +
+                             obs_count(e, "obs.tuples_lost_engine") +
+                             obs_count(e, "obs.tuples_lost_qp") +
+                             obs_count(e, "obs.qp_fabric_drops") +
+                             obs_count(e, "obs.inflight_end") +
+                             obs_count(e, "state.duplicates_filtered");
+        EXPECT_EQ(in, out);
+        total_epochs += r.epochs_completed;
+        total_recoveries += r.checkpoint_recoveries;
+        ++combos;
+      }
+    }
   }
-  EXPECT_EQ(combos, 10);
+  EXPECT_EQ(combos, 360);
   EXPECT_GT(total_epochs, 0u);
-  // The random plans crash nodes in most seeds; at least one recovery must
-  // have restored from a checkpoint across the sweep.
+  // The random plans crash nodes in most seeds; recoveries must have
+  // restored from a checkpoint across the sweep.
   EXPECT_GT(total_recoveries, 0u);
 }
 
