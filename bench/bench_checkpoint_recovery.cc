@@ -180,7 +180,6 @@ RunResult run_scenario(const Scenario& s) {
   cfg.state.unaligned = s.unaligned;
   if (s.acker) {
     cfg.enable_acking = true;
-    cfg.replay_on_failure = true;
     cfg.ack_timeout = ms(120);
   }
   if (s.crash_at > 0) cfg.faults.crash(/*node=*/3, s.crash_at, s.restart_after);

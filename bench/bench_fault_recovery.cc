@@ -30,7 +30,6 @@ core::RunReport run_with_crash(Duration crash_at, Duration restart_after,
   cfg.seed = 42;
   cfg.timeseries_bin = bin;
   cfg.enable_acking = true;
-  cfg.replay_on_failure = true;
   cfg.ack_timeout = ms(120);
   // A chain tree (d* = 1) makes every interior endpoint a relay, so the
   // crashed node always has a subtree to re-parent.

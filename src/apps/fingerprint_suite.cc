@@ -57,7 +57,6 @@ FingerprintLine probe_stock(const std::string& label, core::SystemVariant v,
 FingerprintLine probe_faults(const ConfigMutator& mutate) {
   core::EngineConfig cfg = base_config(core::SystemVariant::Whale());
   cfg.enable_acking = true;
-  cfg.replay_on_failure = true;
   cfg.ack_timeout = ms(120);
   cfg.faults = faults::FaultPlan::random(/*seed=*/7, cfg.cluster.num_nodes,
                                          /*horizon=*/ms(400),

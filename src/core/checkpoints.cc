@@ -211,6 +211,10 @@ void Checkpoints::inject() {
   for (Task& t : tasks_) {
     if (!t.spout) continue;
     barriers_injected_.add();
+    if (tracer_.enabled()) {
+      tracer_.instant("barrier.inject", "state", t.x.node, obs::kLaneControl,
+                      sim().now(), epoch);
+    }
     Delivery bd{std::make_shared<const dsps::Tuple>(
                     state::make_barrier(epoch, /*src_task=*/-1)),
                 0};
@@ -223,10 +227,6 @@ void Checkpoints::inject() {
       return;
     }
     ok = true;
-  }
-  if (tracer_.enabled()) {
-    tracer_.instant("barrier.inject", "state", trace_pid_, obs::kLaneControl,
-                    sim().now(), epoch);
   }
   if (!ok) abort();  // no spouts: nothing can ever align
 }

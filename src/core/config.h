@@ -77,16 +77,16 @@ struct EngineConfig {
   // Storm-style tuple-tree acking ("ideal acker": the XOR ledger is exact
   // but acker-bolt message traffic is not charged). Gives the paper's
   // "fully processed" completion signal and at-least-once failure counts.
+  // With checkpointing off the spout replays a failed root (at-least-once
+  // across crashes), at most 3 times; with it on, epoch-log recovery
+  // rewinds the spouts instead.
   bool enable_acking = false;
   Duration ack_timeout = sec(30);
 
   // Fault injection: scripted node crashes / link degradations / relay
   // stalls, executed by a FaultInjector armed at engine start. Empty plan
-  // = no faults. Requires enable_acking for replay to have any effect.
+  // = no faults.
   faults::FaultPlan faults;
-  // Replay timed-out / failed roots from the spout (at-least-once across
-  // crashes). Each root is retried a bounded number of times (3).
-  bool replay_on_failure = false;
 
   uint64_t seed = 42;
 

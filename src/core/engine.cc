@@ -18,8 +18,6 @@ constexpr uint64_t kMaxTrackedTuples = 1 << 20;
 // Encoding the per-worker BatchTuple header around an already-serialized
 // body (worker-oriented communication reserializes nothing).
 constexpr Duration kWocHeaderCost = ns(600);
-// Spout replays of one failed root before it is written off.
-constexpr int kMaxReplaysPerRoot = 3;
 
 // Asynchronous self-continuation without a reference cycle. `body` is
 // invoked with a copyable `next` callable; calling next() (directly or
@@ -83,6 +81,12 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
   net::ClusterSpec cluster = cfg_.cluster;
   const bool remote = cfg_.state.enabled && cfg_.state.remote;
   if (remote) cluster.num_nodes += 1;
+  // At-least-once acking (core/acking.h). It makes the parallel kernel fall
+  // back, so it runs on sim_.
+  if (cfg_.enable_acking) {
+    acking_ = std::make_unique<Acking>(cfg_, sim_, tracer_, report_,
+                                       static_cast<Acking::Hooks&>(*this));
+  }
   // Parallel kernel opt-in: decided before the fabric exists so the NICs
   // bind to their node's partition. Leaves psim_ null (exact serial path)
   // unless the configuration is provably safe to partition.
@@ -162,8 +166,7 @@ void Engine::setup_parallel() {
   // ledger, fault timelines, epoch alignment, obs sampling) or through
   // zero-lookahead cross-node interactions (one-sided READ rings, tree
   // switching control traffic).
-  if (cfg_.enable_acking) return fallback("acking");
-  if (cfg_.replay_on_failure) return fallback("replay");
+  if (acking_) return fallback("acking");
   if (!cfg_.faults.empty()) return fallback("faults");
   if (cfg_.elastic.enabled) return fallback("elastic");
   if (cfg_.state.enabled) return fallback("state");
@@ -319,8 +322,10 @@ void Engine::obs_setup() {
     });
   }
   mcast_->register_gauges(metrics_);
-  metrics_.gauge("acker.pending",
-                 [this] { return static_cast<double>(acker_.pending()); });
+  // 0 on acking-off runs, so every metrics dump has the series.
+  metrics_.gauge("acker.pending", [this] {
+    return acking_ ? static_cast<double>(acking_->pending()) : 0.0;
+  });
 }
 
 void Engine::obs_finalize() {
@@ -511,39 +516,9 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
   report_.lat_sum_series = TimeSeries(cfg_.timeseries_bin);
   report_.lat_cnt_series = TimeSeries(cfg_.timeseries_bin);
 
-  if (cfg_.enable_acking) {
-    acker_.set_on_complete([this](uint64_t root, Time emit) {
-      pending_edges_.erase(root);
-      auto rit = replays_.find(root);
-      const bool was_replayed =
-          rit != replays_.end() && rit->second.attempts > 0;
-      if (rit != replays_.end()) replays_.erase(rit);
-      if (in_window()) {
-        ++report_.acked_roots;
-        report_.ack_latency.add(cur_sim().now() - emit);
-        if (was_replayed) ++report_.replay_completions;
-      }
-      if (trace_on() && tracer_.sampled(root)) {
-        tracer_.instant("ack.complete", "app",
-                        primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                        obs::kLaneControl, cur_sim().now(), root);
-      }
-    });
-    acker_.set_on_fail([this](uint64_t root) {
-      pending_edges_.erase(root);
-      if (in_window()) ++report_.failed_roots;
-      maybe_replay(root);
-    });
-    // Sweep often enough that short timeouts (crash-recovery tests) detect
-    // losses promptly, but never more than once per millisecond-scale tick.
-    const Duration period = std::min<Duration>(
-        sec(1), std::max<Duration>(ms(10), cfg_.ack_timeout / 4));
-    loop_async([this, period](auto next) {
-      cur_sim().schedule_after(period, [this, next] {
-        acker_.expire_older_than(cur_sim().now() - cfg_.ack_timeout);
-        if (cur_sim().now() < window_end_) next();
-      });
-    });
+  if (acking_) {
+    acking_->start(window_start_, window_end_,
+                   primary_src_worker_ >= 0 ? primary_src_worker_ : 0);
   }
 
   for (auto& t : tasks_) {
@@ -793,15 +768,7 @@ void Engine::schedule_arrival(int task) {
       tracer_.instant("spout.emit", "app", tk.worker, obs::kLaneApp,
                       cur_sim().now(), mut->root_id);
     }
-    if (cfg_.enable_acking) {
-      acker_.root_emitted(mut->root_id, cur_sim().now());
-      // Checkpoint recovery replaces the acker's timeout replay for this
-      // run: rewind comes from the epoch log, not the replay buffer.
-      if (cfg_.replay_on_failure && !state_on() &&
-          replays_.size() < kMaxTrackedTuples) {
-        replays_.emplace(mut->root_id, ReplayState{*tuple, task, 0});
-      }
-    }
+    if (acking_) acking_->emitted(*tuple, task, tk.worker);
     Delivery arrival{tuple, 0};
     arrival.gen = ckpt_->gen();
     if (!tk.in_queue->try_push(std::move(arrival))) {
@@ -810,7 +777,7 @@ void Engine::schedule_arrival(int task) {
         ++report_.input_drops;
       }
       if (c_input_drops_) c_input_drops_->inc();
-      if (cfg_.enable_acking) acker_.fail(tuple->root_id);
+      if (acking_) acking_->fail(tuple->root_id);
     }
     // Stream-rate monitoring for the self-adjusting controller.
     mcast_->record_arrival(task, cur_sim().now());
@@ -925,13 +892,7 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
             [this, traw, root, ack_edge, is_spout] {
               // Children anchored (inside route_emissions) BEFORE the
               // input edge is acked — Storm's ordering requirement.
-              if (cfg_.enable_acking) {
-                if (is_spout) {
-                  acker_.root_finished(root);
-                } else if (ack_edge != 0) {
-                  acker_.acked(root, ack_edge);
-                }
-              }
+              if (acking_) acking_->finished(root, ack_edge, is_spout);
               traw->processing = false;
               pump_task(*traw);
             });
@@ -1029,9 +990,7 @@ void Engine::deliver_local(TaskRt& dst,
   Delivery d{tup, 0};
   d.src_task = src_task;
   d.gen = gen;
-  if (cfg_.enable_acking) {
-    d.ack_edge = take_edge(tup->root_id, dst.id);
-  }
+  if (acking_) d.ack_edge = acking_->take(tup->root_id, dst.id);
   if (!dst.in_queue->try_push(d)) {
     if (bar) {
       // Barrier shed by a full executor queue: the epoch cannot complete.
@@ -1045,30 +1004,8 @@ void Engine::deliver_local(TaskRt& dst,
     if (c_queue_rejects_) c_queue_rejects_->inc();
     // A dropped tuple instance can never be acked: fail the whole root
     // (Storm would replay it after the message timeout).
-    if (cfg_.enable_acking) acker_.fail(tup->root_id);
+    if (acking_) acking_->fail(tup->root_id);
   }
-}
-
-void Engine::anchor_edge(uint64_t root, int task) {
-  if (!acker_.tracking(root)) return;
-  // Edge ids must be (pseudo)random: the XOR ledger of sequential ids can
-  // cancel to zero prematurely (1 ^ 2 ^ 3 == 0). Hash the counter.
-  const uint64_t edge = dsps::value_hash(
-      dsps::Value{static_cast<int64_t>(next_ack_edge_++)});
-  acker_.anchored(root, edge);
-  pending_edges_[root][task].push_back(edge);
-}
-
-uint64_t Engine::take_edge(uint64_t root, int task) {
-  auto rit = pending_edges_.find(root);
-  if (rit == pending_edges_.end()) return 0;
-  auto tit = rit->second.find(task);
-  if (tit == rit->second.end() || tit->second.empty()) return 0;
-  const uint64_t edge = tit->second.front();
-  tit->second.erase(tit->second.begin());
-  if (tit->second.empty()) rit->second.erase(tit);
-  if (rit->second.empty()) pending_edges_.erase(rit);
-  return edge;
 }
 
 void Engine::send_point_to_point(TaskRt& t,
@@ -1076,10 +1013,9 @@ void Engine::send_point_to_point(TaskRt& t,
                                  PooledVec<int> dsts,
                                  InlineFunction done) {
   const bool bar = state_on() && state::is_barrier(*tup);
-  if (cfg_.enable_acking) {
-    // Anchor every destination edge at emission time (Storm semantics).
+  if (acking_) {
     // Barriers carry root 0, which the acker never tracks.
-    for (int d : dsts) anchor_edge(tup->root_id, d);
+    for (int d : dsts) acking_->anchor(tup->root_id, d);
   }
 
   // Local destinations skip serde entirely (Storm does the same).
@@ -1100,25 +1036,26 @@ void Engine::send_point_to_point(TaskRt& t,
       done();
       return;
     }
-    // Per-tuple communication tracking (Figs. 25/26) for the all-grouped
-    // stream's source instance. Barriers (root 0) are never sampled.
-    const auto& sspec = topo_.streams[tup->stream];
-    bool tracked =
-        sspec.grouping == dsps::Grouping::kAll &&
-        traw->id == primary_src_task_ && tup->root_id != 0 &&
-        (tup->root_id % cfg_.tuple_sample_stride) == 0 && in_window();
-    if (tracked) {
-      auto lk = shared_guard();
-      tracked = comm_tracks_.size() < kMaxTrackedTuples;
-      if (tracked) {
-        comm_tracks_[tup->root_id] =
-            CommTrack{cur_sim().now(), cur_sim().now(), 0.0,
-                      static_cast<uint32_t>(remote.size())};
-      }
-    }
-    const uint64_t track_root = tracked ? tup->root_id : 0;
-
     if (cfg_.variant.comm == CommMode::kInstance) {
+      // Per-tuple communication tracking (Figs. 25/26) for the all-grouped
+      // stream's source instance. Barriers (root 0) are never sampled.
+      // Worker-oriented runs multicast every all-grouped stream, so only
+      // this branch sees tracked roots.
+      bool tracked =
+          topo_.streams[tup->stream].grouping == dsps::Grouping::kAll &&
+          traw->id == primary_src_task_ && tup->root_id != 0 &&
+          (tup->root_id % cfg_.tuple_sample_stride) == 0 && in_window();
+      if (tracked) {
+        auto lk = shared_guard();
+        tracked = comm_tracks_.size() < kMaxTrackedTuples;
+        if (tracked) {
+          comm_tracks_[tup->root_id] =
+              CommTrack{cur_sim().now(), cur_sim().now(), 0.0,
+                        static_cast<uint32_t>(remote.size())};
+        }
+      }
+      const uint64_t track_root = tracked ? tup->root_id : 0;
+
       // One serialization + one protocol pass per destination instance,
       // sequentially on this executor — the paper's Fig. 2 bottleneck.
       // Both the serialization and the multi-layer packet processing are
@@ -1196,19 +1133,11 @@ void Engine::send_point_to_point(TaskRt& t,
     }
     const Duration first_ser =
         cfg_.cost.ser_time(dsps::TupleSerde::body_size(*tup));
-    if (track_root) {
-      auto lk = shared_guard();
-      auto it = comm_tracks_.find(track_root);
-      if (it != comm_tracks_.end()) {
-        it->second.ser_ns = static_cast<double>(first_ser);
-        it->second.outstanding = static_cast<uint32_t>(targets.size());
-      }
-    }
     // The target list parks in the loop's slab state; the inner lambdas
     // reference entries by address, which stay stable because the state
     // block never relocates.
     loop_async([this, traw, targets = std::move(targets), idx = size_t{0},
-                first_ser, track_root, bar, root = tup->root_id,
+                first_ser, bar, root = tup->root_id,
                 done = std::move(done)](auto next) mutable {
       if (idx >= targets.size()) {
         done();
@@ -1220,7 +1149,7 @@ void Engine::send_point_to_point(TaskRt& t,
       const Duration d = (idx == 1) ? first_ser : kWocHeaderCost;
       traw->cpu->execute(
           d, sim::CpuCategory::kSerialization,
-          [this, traw, &tgt, next, track_root, bar, d, root] {
+          [this, traw, &tgt, next, bar, d, root] {
             if (trace_on() && tracer_.sampled(root)) {
               tracer_.complete("serialize", "app", traw->worker,
                                obs::kLaneApp, cur_sim().now() - d, d, root);
@@ -1228,12 +1157,11 @@ void Engine::send_point_to_point(TaskRt& t,
             const auto [send_cost, send_cat] =
                 transport_->send_cost(tgt.bytes->size());
             traw->cpu->execute(send_cost, send_cat,
-                               [this, traw, &tgt, next, track_root, bar] {
+                               [this, traw, &tgt, next, bar] {
                                  OutMsg m;
                                  m.bytes = tgt.bytes;
                                  m.dst_worker = tgt.worker;
                                  m.enqueued = cur_sim().now();
-                                 m.root_id = track_root;
                                  m.src_task = traw->id;
                                  m.barrier = bar;
                                  m.gen = ckpt_->gen();
@@ -1273,9 +1201,9 @@ void Engine::send_mcast(TaskRt& t, const McastGroups::Group& g,
   const uint64_t root = tup->root_id;
   const bool bar = state_on() && state::is_barrier(*tup);
   const bool tracked = root != 0 && (root % cfg_.tuple_sample_stride) == 0;
-  if (cfg_.enable_acking) {
+  if (acking_) {
     for (int d : op_tasks_[static_cast<size_t>(g.dst_op)]) {
-      anchor_edge(root, d);
+      acking_->anchor(root, d);
     }
   }
 
@@ -1397,9 +1325,6 @@ void Engine::handle_bytes(WorkerRt& w, rdma::Packet pkt, int src_worker) {
       dispatch_instance(w, std::move(pkt));
       break;
     case MsgKind::kBatchData:
-      if (pkt.id != 0 && src_worker == primary_src_worker_) {
-        comm_track_delivery(pkt.id);
-      }
       dispatch_batch(w, std::move(pkt));
       break;
     case MsgKind::kMcastData:
@@ -1688,49 +1613,6 @@ void Engine::on_node_restart(int node) {
   transport_->pump(node);
 }
 
-void Engine::maybe_replay(uint64_t root) {
-  if (!cfg_.replay_on_failure) return;
-  // Checkpointed streams rewind from the epoch log instead.
-  if (state_on()) return;
-  auto it = replays_.find(root);
-  if (it == replays_.end()) return;
-  const int task = it->second.task;
-  auto& tk = *tasks_[static_cast<size_t>(task)];
-  if (!fabric_->node_up(tk.node)) {
-    // The spout's own worker is down; try again once it may be back.
-    if (cur_sim().now() < window_end_) {
-      cur_sim().schedule_after(ms(50), [this, root] { maybe_replay(root); });
-    }
-    return;
-  }
-  if (it->second.attempts >= kMaxReplaysPerRoot) {
-    ++report_.replays_exhausted;
-    replays_.erase(it);
-    return;
-  }
-  ++it->second.attempts;
-  auto tuple = std::make_shared<dsps::Tuple>(it->second.tuple);
-  tuple->root_id = root;
-  tuple->root_emit_time = cur_sim().now();
-  ++report_.replayed_roots;
-  // Each replay is a fresh emission instance for conservation purposes:
-  // the earlier instance was already written off as lost/dropped.
-  if (c_roots_) c_roots_->inc();
-  if (trace_on() && tracer_.sampled(root)) {
-    tracer_.instant("replay", "app", tk.worker, obs::kLaneApp, cur_sim().now(),
-                    root);
-  }
-  acker_.root_emitted(root, cur_sim().now());
-  Delivery rep{tuple, 0};
-  rep.gen = ckpt_->gen();
-  if (!tk.in_queue->try_push(std::move(rep))) {
-    // Spout queue full: fail again, which re-enters maybe_replay (bounded
-    // by kMaxReplaysPerRoot).
-    if (c_input_drops_) c_input_drops_->inc();
-    acker_.fail(root);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Checkpointing: the component's Hooks
 // ---------------------------------------------------------------------------
@@ -1782,13 +1664,32 @@ void Engine::replayed(uint64_t root) {
   // A replay is a fresh emission instance for conservation purposes (the
   // earlier instance was written off as lost at the rollback).
   if (c_roots_) c_roots_->inc();
-  if (cfg_.enable_acking) acker_.root_emitted(root, cur_sim().now());
+  if (acking_) acking_->reemitted(root);
 }
 
 void Engine::filtered(const Delivery& d) {
-  if (cfg_.enable_acking && d.ack_edge != 0) {
-    acker_.acked(d.tuple->root_id, d.ack_edge);
+  if (acking_) acking_->finished(d.tuple->root_id, d.ack_edge, false);
+}
+
+// ---------------------------------------------------------------------------
+// Acking: the component's Hooks
+// ---------------------------------------------------------------------------
+
+bool Engine::spout_up(int task) {
+  return fabric_->node_up(tasks_[static_cast<size_t>(task)]->node);
+}
+
+bool Engine::reinject(int task, std::shared_ptr<const dsps::Tuple> root) {
+  // A replay is a fresh emission instance for conservation purposes: the
+  // earlier instance was already written off as lost or dropped.
+  if (c_roots_) c_roots_->inc();
+  Delivery d{std::move(root), 0};
+  d.gen = ckpt_->gen();
+  if (tasks_[static_cast<size_t>(task)]->in_queue->try_push(std::move(d))) {
+    return true;
   }
+  if (c_input_drops_) c_input_drops_->inc();
+  return false;
 }
 
 }  // namespace whale::core

@@ -20,13 +20,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/acking.h"
 #include "core/checkpoints.h"
 #include "core/config.h"
 #include "core/mcast_groups.h"
 #include "core/message.h"
 #include "core/report.h"
 #include "core/transport.h"
-#include "dsps/acker.h"
 #include "dsps/partitioning.h"
 #include "dsps/topology.h"
 #include "elastic/controller.h"
@@ -43,9 +43,10 @@
 
 namespace whale::core {
 
-// The engine drives the data path; the checkpoint component calls back
-// through its Hooks (privately inherited: they are not Engine's API).
-class Engine final : private Checkpoints::Hooks {
+// The engine drives the data path; the checkpoint and acking components
+// call back through their Hooks (privately inherited: they are not
+// Engine's API).
+class Engine final : private Checkpoints::Hooks, private Acking::Hooks {
  public:
   Engine(EngineConfig cfg, dsps::Topology topo);
   ~Engine();
@@ -230,7 +231,6 @@ class Engine final : private Checkpoints::Hooks {
   uint64_t drain_task(TaskRt& t);
   void on_node_crash(int node);
   void on_node_restart(int node);
-  void maybe_replay(uint64_t root);
   // Counts `n` data tuples lost in both ledgers (report and obs).
   void count_lost(uint64_t n = 1) override {
     tuples_lost_ += n;
@@ -250,6 +250,10 @@ class Engine final : private Checkpoints::Hooks {
   void task_sealed(int task, uint64_t epoch) override;
   void epoch_committed(uint64_t epoch) override;
   void epoch_aborted(uint64_t epoch) override;
+
+  // --- acking: the Hooks the component calls --------------------------------
+  bool spout_up(int task) override;
+  bool reinject(int task, std::shared_ptr<const dsps::Tuple> root) override;
 
   // --- elastic rescaling (src/elastic; engine_elastic.cc) -------------------
   bool elastic_on() const { return cfg_.elastic.enabled; }
@@ -347,27 +351,8 @@ class Engine final : private Checkpoints::Hooks {
 
   std::unordered_map<uint64_t, McastTrack> mcast_tracks_;
   std::unordered_map<uint64_t, CommTrack> comm_tracks_;
-  dsps::AckerLedger acker_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  // Spout-side replay buffer (at-least-once across crashes): the root tuple
-  // is kept until the acker confirms or replays are exhausted.
-  struct ReplayState {
-    dsps::Tuple tuple;
-    int task = 0;
-    int attempts = 0;
-  };
-  std::unordered_map<uint64_t, ReplayState> replays_;
   uint64_t tuples_lost_ = 0;
-  uint64_t next_ack_edge_ = 1;
-  // Edges are anchored at EMISSION time (Storm semantics — otherwise the
-  // ledger would transiently zero while messages are on the wire) and
-  // handed out to deliveries as they arrive: root -> task -> FIFO of
-  // anchored-but-undelivered edge ids. Which delivery takes which edge is
-  // irrelevant to the XOR ledger; each edge is anchored and acked once.
-  std::unordered_map<uint64_t, std::unordered_map<int, std::vector<uint64_t>>>
-      pending_edges_;
-  void anchor_edge(uint64_t root, int task);
-  uint64_t take_edge(uint64_t root, int task);
   // Per-stream processed counts and destination-instance counts for
   // all-grouped streams (throughput normalization).
   std::vector<uint64_t> mcast_processed_per_stream_;
@@ -377,6 +362,9 @@ class Engine final : private Checkpoints::Hooks {
   // built (the data path stamps its incarnation); it is held in place, so
   // that stamp is one load.
   std::optional<Checkpoints> ckpt_;
+  // Tuple-tree acking and spout replay (core/acking.h); null unless
+  // cfg_.enable_acking, so each data-path call site is one null test.
+  std::unique_ptr<Acking> acking_;
 
   // Elastic rescaling runtime (engine_elastic.cc). escalers_ is indexed by
   // operator; null for ops the eligibility rules exclude. One plan is in

@@ -87,7 +87,7 @@ struct RunReport {
   uint64_t tuples_lost = 0;       // dropped at dead workers / reset QPs
   uint64_t replayed_roots = 0;    // spout re-emissions after ack failure
   uint64_t replay_completions = 0;  // replayed roots that finished acking
-  uint64_t replays_exhausted = 0;   // roots that hit max_replays_per_root
+  uint64_t replays_exhausted = 0;   // roots written off after 3 replays
   uint64_t tree_repairs = 0;        // multicast tree repair rounds
   uint64_t repair_moves = 0;        // endpoints re-parented across repairs
   Duration repair_time_total = 0;   // crash detection -> repair ACKed
@@ -97,7 +97,7 @@ struct RunReport {
   // --- checkpointing & exactly-once (src/state) ----------------------------
   uint64_t epochs_completed = 0;   // committed checkpoint epochs
   uint64_t epochs_aborted = 0;     // wedged/aborted epochs
-  uint64_t barriers_injected = 0;  // barriers pushed at spouts
+  uint64_t barriers_injected = 0;  // offered to spout queues, bounces too
   uint64_t checkpoint_bytes = 0;   // snapshot bytes written to the store
   uint64_t committed_completions = 0;  // sink roots committed exactly once
   uint64_t duplicates_filtered = 0;    // sink-side exactly-once rejections
@@ -132,7 +132,7 @@ struct RunReport {
     int num_partitions = 0;   // one per node once engaged; 0 otherwise
     int threads = 0;          // executing threads (<= num_partitions)
     // "" when engaged; otherwise one of: "not_requested", "acking",
-    // "replay", "faults", "elastic", "state", "obs", "optimized_rdma",
+    // "faults", "elastic", "state", "obs", "optimized_rdma",
     // "nonblocking_mcast", "load_aware_strategy", "single_partition".
     std::string fallback_reason;
   };

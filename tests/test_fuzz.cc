@@ -292,7 +292,6 @@ TEST(Fuzz, EngineConservesTuplesUnderRandomFaultPlans) {
           /*num_faults=*/1 + static_cast<int>(rng.next_below(4)));
       if (rng.bernoulli(0.5)) {
         cfg.enable_acking = true;
-        cfg.replay_on_failure = true;
         cfg.ack_timeout = ms(50);
       }
       const double rate = 500.0 + 250.0 * rng.next_below(8);
@@ -390,7 +389,6 @@ TEST(Fuzz, CheckpointAlignmentNeverDeadlocksUnderFaults) {
         cfg.state.checkpoint_interval = ms(20 + rng.next_below(60));
         if (rng.bernoulli(0.5)) {
           cfg.enable_acking = true;
-          cfg.replay_on_failure = true;
           cfg.ack_timeout = ms(50);
         }
         cfg.faults = faults::FaultPlan::random(

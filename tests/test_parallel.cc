@@ -387,14 +387,6 @@ TEST(ParallelEligibility, EachKnobNamesItselfInFallbackReason) {
       {"not_requested", [](EngineConfig& c) { c.sim.threads = 0; }},
       {"not_requested", [](EngineConfig& c) { c.sim.threads = 1; }},
       {"acking", [](EngineConfig& c) { c.enable_acking = true; }},
-      // Acking precedes replay in the eligibility order, so both-on
-      // reports acking; replay alone names itself.
-      {"acking",
-       [](EngineConfig& c) {
-         c.enable_acking = true;
-         c.replay_on_failure = true;
-       }},
-      {"replay", [](EngineConfig& c) { c.replay_on_failure = true; }},
       {"faults",
        [](EngineConfig& c) {
          c.faults.crashes.push_back(

@@ -598,7 +598,7 @@ TEST(Checkpoints, CrashBeforeFirstCommitIsExactlyOnce) {
 TEST(Checkpoints, TraceEventsMatchTheReport) {
   // Every protocol event the report counts leaves one trace event, with
   // the trace unsampled for control events: one barrier.inject instant
-  // per injection (one spout), one checkpoint span per commit, one
+  // per injection, one checkpoint span per commit, one
   // epoch.abort instant per abort, one state.restore span per restart and
   // one state.recovered instant per recovery.
   for (const StateMode& m : kStateModes) {
@@ -628,16 +628,24 @@ TEST(Checkpoints, TraceEventsMatchTheReport) {
 
 TEST(Checkpoints, FullSpoutQueueAbortsEpoch) {
   // A spout queue so full that even the barrier bounces: each injection
-  // aborts its epoch on the spot, and nothing ever commits.
+  // aborts its epoch on the spot, and nothing ever commits. A bounced
+  // barrier still leaves its barrier.inject instant.
   EngineConfig c = base_cfg(4);
   c.executor_queue_capacity = 4;
   c.state.enabled = true;
   c.state.checkpoint_interval = ms(20);
+  c.obs.tracing_enabled = true;
   Engine e(c, broadcast_topo(2'000'000.0, 8));
   const auto& r = e.run(ms(100), ms(150));
   EXPECT_EQ(r.barriers_injected, 12u);
   EXPECT_EQ(r.epochs_aborted, r.barriers_injected);
   EXPECT_EQ(r.epochs_completed, 0u);
+  ASSERT_EQ(e.tracer().dropped(), 0u);
+  uint64_t injects = 0;
+  for (const auto& ev : e.tracer().events()) {
+    injects += std::string(ev.name) == "barrier.inject";
+  }
+  EXPECT_EQ(injects, r.barriers_injected);
 }
 
 // Forwards every tuple; instance 1 serves 125 t/s, so under 200 t/s its

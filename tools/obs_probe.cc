@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   cfg.seed = 42;
   cfg.initial_dstar = 1;
   cfg.enable_acking = true;
-  cfg.replay_on_failure = true;
   cfg.ack_timeout = ms(120);
   cfg.faults = faults::FaultPlan::random(/*seed=*/7, cfg.cluster.num_nodes,
                                          /*horizon=*/ms(400),

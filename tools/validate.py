@@ -654,12 +654,19 @@ def check_trace(path: pathlib.Path) -> None:
             if ev["ph"] != "i" or not isinstance(
                     ev.get("args", {}).get("moves"), (int, float)):
                 fail(f"'{name}' is not an instant with a 'moves' arg: {ev}")
+    # At-least-once across the crashes: a root whose tuple tree completed
+    # (`ack.complete`) and a failed root re-emitted by its spout (`replay`).
+    for name in ("ack.complete", "replay"):
+        if not any(ev["ph"] == "i" for ev in by_name.get(name, [])):
+            fail(f"trace missing acking instant '{name}'")
     print(f"  trace.json    ok: {len(events)} events, "
           f"{len(by_name)} span names, "
           f"{len(by_name['mcast.repair'])} repair episode(s), "
           f"{len(by_name['mcast.switch'])} switch(es), "
           f"{len(by_name['repair'])} repair / "
-          f"{len(by_name['restore'])} restore instant(s)")
+          f"{len(by_name['restore'])} restore instant(s), "
+          f"{len(by_name['ack.complete'])} ack.complete / "
+          f"{len(by_name['replay'])} replay instant(s)")
 
 
 def check_metrics(path: pathlib.Path) -> None:
