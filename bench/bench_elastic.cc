@@ -252,7 +252,7 @@ int main() {
   std::printf(
       "\"summary\": {\"scale_ups\": %llu, \"scale_downs\": %llu, "
       "\"rescales_canceled\": %llu, \"instances_spawned\": %llu, "
-      "\"instances_retired\": %llu, \"cross_rack_placements\": %llu, "
+      "\"instances_retired\": %llu, "
       "\"keyed_entries_moved\": %llu, \"state_bytes_moved\": %llu, "
       "\"migration_stall_total_ms\": %.3f, \"migration_stall_max_ms\": %.3f, "
       "\"polls\": %llu, \"final_parallelism\": %d, "
@@ -263,7 +263,6 @@ int main() {
       static_cast<unsigned long long>(r.elastic.rescales_canceled),
       static_cast<unsigned long long>(r.elastic.instances_spawned),
       static_cast<unsigned long long>(r.elastic.instances_retired),
-      static_cast<unsigned long long>(r.elastic.cross_rack_placements),
       static_cast<unsigned long long>(r.elastic.keyed_entries_moved),
       static_cast<unsigned long long>(r.elastic.state_bytes_moved),
       to_millis(r.elastic.migration_stall_total),

@@ -94,6 +94,10 @@ class Checkpoints {
   // Registers executor `x.id` (ids are dense). One added during the run
   // (an elastic spawn) is bound to the store at once.
   void add_task(const Executor& x);
+  // Executor `task` as registered; with state on only.
+  const Executor& executor(int task) const {
+    return tasks_[static_cast<size_t>(task)].x;
+  }
   // Binds every task's epoch-0 image and starts the epoch ticks.
   void start(Time window_end);
   void register_metrics(obs::MetricsRegistry& metrics);
@@ -142,16 +146,6 @@ class Checkpoints {
   struct LogEntry {
     uint64_t epoch;
     dsps::Tuple tuple;
-  };
-  // A whole-run count: its report field and, with metrics on, its obs
-  // counter, both bumped at the event.
-  struct Tally {
-    uint64_t& n;
-    obs::Counter* c = nullptr;
-    void add(uint64_t k = 1) {
-      n += k;
-      if (c) c->inc(k);
-    }
   };
   struct Task {
     // What admit() reads per tuple comes first.
@@ -232,13 +226,13 @@ class Checkpoints {
   std::vector<uint64_t> sealed_roots_;
   std::unordered_set<uint64_t> committed_roots_;
 
-  Tally epochs_completed_{report_.epochs_completed};
-  Tally epochs_aborted_{report_.epochs_aborted};
-  Tally barriers_injected_{report_.barriers_injected};
-  Tally snapshot_bytes_{report_.checkpoint_bytes};
-  Tally committed_completions_{report_.committed_completions};
-  Tally duplicates_filtered_{report_.duplicates_filtered};
-  Tally replayed_tuples_{report_.checkpoint_replays};
+  obs::Tally epochs_completed_{report_.epochs_completed};
+  obs::Tally epochs_aborted_{report_.epochs_aborted};
+  obs::Tally barriers_injected_{report_.barriers_injected};
+  obs::Tally snapshot_bytes_{report_.checkpoint_bytes};
+  obs::Tally committed_completions_{report_.committed_completions};
+  obs::Tally duplicates_filtered_{report_.duplicates_filtered};
+  obs::Tally replayed_tuples_{report_.checkpoint_replays};
   // Channel-state re-injections, queued or lost: fresh instances for the
   // data ledger (report_.channel_replays counts the queued ones).
   obs::Counter* c_reinjections_ = nullptr;

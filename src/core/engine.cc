@@ -71,6 +71,14 @@ void loop_async(Body body_in) {
   Next{::new (p) State{1, std::move(body_in)}}();
 }
 
+// Out of line and cold, so route_emissions' per-emission body stays small
+// enough to inline.
+[[noreturn, gnu::cold, gnu::noinline]] void no_out_stream(
+    const dsps::OperatorSpec& op, size_t out_idx) {
+  throw std::logic_error("route_emissions: operator '" + op.name +
+                         "' has no out stream " + std::to_string(out_idx));
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig cfg, dsps::Topology topo)
@@ -125,9 +133,9 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
     primary_src_worker_ =
         tasks_[static_cast<size_t>(primary_src_task_)]->worker;
   }
+  const int trace_pid = primary_src_worker_ >= 0 ? primary_src_worker_ : 0;
   ckpt_.emplace(cfg_, topo_, op_tasks_, *fabric_, *mcast_, tracer_, report_,
-                static_cast<Checkpoints::Hooks&>(*this),
-                primary_src_worker_ >= 0 ? primary_src_worker_ : 0);
+                static_cast<Checkpoints::Hooks&>(*this), trace_pid);
   for (auto& tp : tasks_) {
     ckpt_->add_task({tp->id, tp->op, tp->node, tp->cpu.get(),
                      tp->in_queue.get(), &tp->store});
@@ -146,10 +154,14 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
         0);
   }
   stream_instance_snap_ = stream_instance_counts_;
-  // Elastic controllers need the wired runtime (registered state cells
+  // Elastic rescaling needs the wired runtime (registered state cells
   // decide eligibility, mcast groups take the d* probes); obs comes after
-  // so the elastic.* counters can bind to live controllers.
-  if (elastic_on()) elastic_setup();
+  // so the elastic.* gauges can bind to live controllers.
+  if (cfg_.elastic.enabled) {
+    elastic_ = std::make_unique<Elastic>(
+        cfg_, topo_, op_tasks_, *ckpt_, *mcast_, sim_, tracer_, report_,
+        static_cast<Elastic::Hooks&>(*this), trace_pid);
+  }
   obs_setup();
 }
 
@@ -230,24 +242,7 @@ void Engine::obs_setup() {
   c_inflight_ = metrics_.counter("obs.inflight_end");
   h_sink_latency_ = metrics_.histogram("obs.sink_latency");
   if (state_on()) ckpt_->register_metrics(metrics_);
-  if (elastic_on()) {
-    c_el_polls_ = metrics_.counter("elastic.polls");
-    c_el_ups_ = metrics_.counter("elastic.scale_ups");
-    c_el_downs_ = metrics_.counter("elastic.scale_downs");
-    c_el_canceled_ = metrics_.counter("elastic.rescales_canceled");
-    c_el_moved_bytes_ = metrics_.counter("elastic.state_bytes_moved");
-    c_el_stale_drops_ = metrics_.counter("elastic.stale_drops");
-    for (size_t op = 0; op < escalers_.size(); ++op) {
-      if (!escalers_[op]) continue;
-      elastic::ScalingController* sc = escalers_[op].get();
-      const std::string prefix = "elastic.op" + std::to_string(op);
-      metrics_.gauge(prefix + ".parallelism", [sc] {
-        return static_cast<double>(sc->parallelism());
-      });
-      metrics_.gauge(prefix + ".backlog_ewma",
-                     [sc] { return sc->backlog_ewma(); });
-    }
-  }
+  if (elastic_) elastic_->register_metrics(metrics_);
 
   // Verbs-layer fault visibility, summed over every (data + ctrl) QP:
   // READs cancelled by epoch-bumping resets, and packets sitting in QPs
@@ -567,16 +562,9 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
   // loop above: disabled checkpointing schedules ZERO events.
   ckpt_->start(window_end_);
 
-  // Elastic scaling polls (src/elastic). Zero-overhead contract again:
-  // with elasticity off no controllers exist and no events are scheduled.
-  if (elastic_on()) {
-    loop_async([this](auto next) {
-      cur_sim().schedule_after(cfg_.elastic.poll_interval, [this, next] {
-        elastic_tick();
-        if (cur_sim().now() < window_end_) next();
-      });
-    });
-  }
+  // Elastic polls. Zero-overhead contract again: with elasticity off no
+  // component exists and no events are scheduled.
+  if (elastic_) elastic_->start(window_end_);
 
   if (psim_) {
     // Stop the world at the window start so the snapshot callback (and any
@@ -673,13 +661,6 @@ void Engine::finalize_report(Duration measure) {
   mcast_->finalize();
 
   ckpt_->finalize();
-
-  if (elastic_on()) {
-    report_.elastic.enabled = true;
-    for (const auto& sc : escalers_) {
-      if (sc) report_.elastic.polls += sc->polls();
-    }
-  }
 
   report_.fabric_messages_dropped = fabric_->messages_dropped();
   report_.fabric_bytes_dropped = fabric_->bytes_dropped();
@@ -918,10 +899,7 @@ void Engine::route_emissions(TaskRt& t, dsps::Emissions emissions,
     auto& [out_idx, tuple] = remaining[idx];
     ++idx;
     const auto& op = topo_.ops[static_cast<size_t>(traw->op)];
-    if (out_idx >= op.out_streams.size()) {
-      next();  // emission on a nonexistent stream: drop silently
-      return;
-    }
+    if (out_idx >= op.out_streams.size()) no_out_stream(op, out_idx);
     const int stream = op.out_streams[out_idx];
     send_emission(*traw, std::move(tuple), stream, [next] { next(); });
   });
@@ -973,13 +951,11 @@ void Engine::deliver_local(TaskRt& dst,
     return;
   }
   if (!dst.active) {
-    // Stale wire copy addressed to an instance a rescale retired. The
-    // quiesce protocol makes this structurally unreachable for data (every
-    // upstream of a rescaled operator fences before the commit retires
-    // anything), so this counter doubles as a proof obligation: the
-    // elastic conservation check in tools/validate.py asserts it stays 0.
-    ++report_.elastic.stale_drops;
-    if (c_el_stale_drops_) c_el_stale_drops_->inc();
+    // Stale wire copy addressed to an instance a rescale retired (only a
+    // rescale retires one, so the component exists). Every upstream of a
+    // rescaled operator fences before the commit retires anything, so
+    // tools/validate.py's elastic conservation check asserts this stays 0.
+    elastic_->stale_drop();
     return;
   }
   // All-grouped deliveries feed the multicast-reception tracker.
@@ -1671,6 +1647,21 @@ void Engine::filtered(const Delivery& d) {
   if (acking_) acking_->finished(d.tuple->root_id, d.ack_edge, false);
 }
 
+void Engine::task_sealed(int task, uint64_t epoch) {
+  TaskRt& t = *tasks_[static_cast<size_t>(task)];
+  if (elastic_ && elastic_->quiesces(t.op, epoch)) t.quiesced = true;
+}
+
+void Engine::epoch_aborted(uint64_t epoch) {
+  if (elastic_) elastic_->epoch_aborted(epoch);
+  // Every fence is closed, a rescale's quiesce included: wake every
+  // executor.
+  for (auto& tp : tasks_) {
+    tp->quiesced = false;
+    pump_task(*tp);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Acking: the component's Hooks
 // ---------------------------------------------------------------------------
@@ -1690,6 +1681,85 @@ bool Engine::reinject(int task, std::shared_ptr<const dsps::Tuple> root) {
   }
   if (c_input_drops_) c_input_drops_->inc();
   return false;
+}
+
+// ---------------------------------------------------------------------------
+// Elastic rescaling: the component's Hooks, in the order a cutover runs them
+// ---------------------------------------------------------------------------
+
+void Engine::spawn(int op, int instance, int node) {
+  TaskRt& t = add_task(op, instance, /*worker=*/node);  // one worker per node
+  ckpt_->add_task(
+      {t.id, t.op, t.node, t.cpu.get(), t.in_queue.get(), &t.store});
+  if (metrics_on()) {
+    TaskRt* raw = &t;
+    metrics_.gauge("task" + std::to_string(t.id) + ".in_queue", [raw] {
+      return static_cast<double>(raw->in_queue->size());
+    });
+  }
+}
+
+uint64_t Engine::retire(int task) {
+  TaskRt& t = *tasks_[static_cast<size_t>(task)];
+  t.active = false;
+  t.quiesced = false;
+  t.processing = false;
+  return ckpt_->retire(task);
+}
+
+void Engine::reshape(int op, const std::vector<std::vector<uint8_t>>& images) {
+  const size_t o = static_cast<size_t>(op);
+  const int n = topo_.ops[o].parallelism;
+  auto prune = [this](std::vector<int>& ids) {
+    ids.erase(std::remove_if(ids.begin(), ids.end(),
+                             [this](int tid) {
+                               return !tasks_[static_cast<size_t>(tid)]->active;
+                             }),
+              ids.end());
+  };
+  prune(op_tasks_[o]);
+  for (auto& wp : workers_) prune(wp->op_local_tasks[o]);
+
+  // Surviving and fresh instances alike restore their slice, learn the new
+  // shape, and make it their recovery image — a crash after this cutover
+  // rolls back to exactly the state the rescale installed.
+  for (int i = 0; i < n; ++i) {
+    TaskRt& t = *tasks_[static_cast<size_t>(op_tasks_[o][static_cast<size_t>(i)])];
+    t.store.restore(images[static_cast<size_t>(i)]);
+    t.bolt->rescaled({t.id, op, i, n, t.worker, t.node});
+    ckpt_->install(t.id);
+  }
+
+  for (auto& tp : tasks_) {
+    if (!tp->active) continue;
+    const auto& tspec = topo_.ops[static_cast<size_t>(tp->op)];
+    for (size_t oi = 0; oi < tspec.out_streams.size(); ++oi) {
+      if (topo_.streams[static_cast<size_t>(tspec.out_streams[oi])].to_op ==
+          op) {
+        tp->strategies[oi]->rebalanced(static_cast<size_t>(n));
+      }
+    }
+  }
+  // Instance-indexed accounting must admit the new indexes; on shrink the
+  // old columns stay (whole-run counters never forget retired instances).
+  for (int sid : topo_.ops[o].in_streams) {
+    const size_t s = static_cast<size_t>(sid);
+    if (stream_instance_counts_[s].size() < static_cast<size_t>(n)) {
+      stream_instance_counts_[s].resize(static_cast<size_t>(n), 0);
+      stream_instance_snap_[s].resize(static_cast<size_t>(n), 0);
+    }
+    if (topo_.streams[s].grouping == dsps::Grouping::kAll) {
+      stream_dst_count_[s] = static_cast<uint32_t>(n);
+    }
+  }
+}
+
+void Engine::release() {
+  for (auto& tp : tasks_) {
+    if (!tp->quiesced) continue;
+    tp->quiesced = false;
+    pump_task(*tp);
+  }
 }
 
 }  // namespace whale::core

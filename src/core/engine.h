@@ -16,21 +16,19 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/acking.h"
 #include "core/checkpoints.h"
 #include "core/config.h"
+#include "core/elastic.h"
 #include "core/mcast_groups.h"
 #include "core/message.h"
 #include "core/report.h"
 #include "core/transport.h"
 #include "dsps/partitioning.h"
 #include "dsps/topology.h"
-#include "elastic/controller.h"
-#include "elastic/placement.h"
 #include "faults/injector.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
@@ -43,10 +41,12 @@
 
 namespace whale::core {
 
-// The engine drives the data path; the checkpoint and acking components
-// call back through their Hooks (privately inherited: they are not
-// Engine's API).
-class Engine final : private Checkpoints::Hooks, private Acking::Hooks {
+// The engine drives the data path; the checkpoint, acking and elastic
+// components call back through their Hooks (privately inherited: they are
+// not Engine's API).
+class Engine final : private Checkpoints::Hooks,
+                     private Acking::Hooks,
+                     private Elastic::Hooks {
  public:
   Engine(EngineConfig cfg, dsps::Topology topo);
   ~Engine();
@@ -106,10 +106,10 @@ class Engine final : private Checkpoints::Hooks, private Acking::Hooks {
   bool task_active(int task) const {
     return tasks_[static_cast<size_t>(task)]->active;
   }
-  // Whether op can be elastically rescaled under the current topology and
-  // registered state (spouts, all-grouped sources and operators with
-  // non-keyed state cells cannot).
-  bool op_rescalable(int op) const;
+  // Whether op can be elastically rescaled (false with elasticity off).
+  bool op_rescalable(int op) const {
+    return elastic_ && elastic_->rescalable(op);
+  }
 
  private:
   struct TaskRt {
@@ -123,8 +123,8 @@ class Engine final : private Checkpoints::Hooks, private Acking::Hooks {
     // stays in tasks_ (ids are stable engine-wide) but turns inactive:
     // deliveries to it are counted stale drops and its executor never
     // pumps again. `quiesced` fences a live instance during the migration
-    // window — set at its alignment of the rescale epoch, cleared (or
-    // turned into retirement) at the epoch's commit.
+    // window — set when it seals the rescale epoch, cleared (or turned into
+    // retirement) when that epoch commits or aborts.
     bool active = true;
     bool quiesced = false;
     // Routing: one strategy per out stream (indexed like op.out_streams).
@@ -245,39 +245,26 @@ class Engine final : private Checkpoints::Hooks, private Acking::Hooks {
   void resume(int task) override;
   void replayed(uint64_t root) override;
   void filtered(const Delivery& d) override;
-  // Elastic rescaling rides these (engine_elastic.cc).
-  void epoch_begun(uint64_t epoch) override;
+  // Elastic rescaling rides these.
+  void epoch_begun(uint64_t epoch) override {
+    if (elastic_) elastic_->epoch_begun(epoch);
+  }
   void task_sealed(int task, uint64_t epoch) override;
-  void epoch_committed(uint64_t epoch) override;
+  void epoch_committed(uint64_t epoch) override {
+    if (elastic_) elastic_->epoch_committed(epoch);
+  }
   void epoch_aborted(uint64_t epoch) override;
 
   // --- acking: the Hooks the component calls --------------------------------
   bool spout_up(int task) override;
   bool reinject(int task, std::shared_ptr<const dsps::Tuple> root) override;
 
-  // --- elastic rescaling (src/elastic; engine_elastic.cc) -------------------
-  bool elastic_on() const { return cfg_.elastic.enabled; }
-  // Validates the config, builds one ScalingController per rescalable
-  // operator and installs the d* backlog probes. Called from the ctor
-  // after the multicast groups are built.
-  void elastic_setup();
-  // Poll tick: feeds every controller its operator's backlog fraction;
-  // adopts the first plan issued (plans serialize engine-wide).
-  void elastic_tick();
-  // Smoothed in-queue occupancy of op's active instances, in [0, 1].
-  double op_backlog_frac(int op) const;
-  // Tasks of `op` plus every task of an upstream op: the quiesce set.
-  bool in_quiesce_set(int op) const {
-    return quiesce_ops_.count(op) != 0;
-  }
-  // Runs the adopted plan at its epoch's commit: merge + re-split keyed
-  // state, spawn/retire instances, rewire routing, rebuild mcast groups.
-  void execute_rescale();
-  // The rescale epoch aborted (lost barrier, crash, wedge): release the
-  // quiesced tasks and return the controller to steady state.
-  void cancel_rescale();
-  // Picks the host node for a freshly spawned instance of `op`.
-  int place_instance(int op) const;
+  // --- elastic rescaling: the Hooks the component calls ----------------------
+  void spawn(int op, int instance, int node) override;
+  uint64_t retire(int task) override;
+  void reshape(int op,
+               const std::vector<std::vector<uint8_t>>& images) override;
+  void release() override;
 
   // --- metrics ----------------------------------------------------------------
   bool in_window() const {
@@ -366,15 +353,8 @@ class Engine final : private Checkpoints::Hooks, private Acking::Hooks {
   // cfg_.enable_acking, so each data-path call site is one null test.
   std::unique_ptr<Acking> acking_;
 
-  // Elastic rescaling runtime (engine_elastic.cc). escalers_ is indexed by
-  // operator; null for ops the eligibility rules exclude. One plan is in
-  // flight engine-wide at a time: elastic_tick adopts it, the next epoch
-  // to begin stamps it onto rescale_epoch_, that epoch's commit executes it.
-  std::vector<std::unique_ptr<elastic::ScalingController>> escalers_;
-  std::optional<elastic::RescalePlan> pending_plan_;
-  uint64_t rescale_epoch_ = 0;  // 0 = no rescale riding an epoch
-  Time rescale_start_ = 0;      // barrier injection time of that epoch
-  std::unordered_set<int> quiesce_ops_;  // ops whose tasks quiesce
+  // Runtime rescaling (core/elastic.h); null unless cfg_.elastic.enabled.
+  std::unique_ptr<Elastic> elastic_;
 
   int primary_src_task_ = -1;  // source of the first all-grouped stream
   int primary_src_worker_ = -1;
@@ -407,13 +387,6 @@ class Engine final : private Checkpoints::Hooks, private Acking::Hooks {
   obs::Counter* c_qp_fabric_drops_ = nullptr;  // QP->fabric drops (finalized)
   obs::Counter* c_inflight_ = nullptr;      // end-of-run census (finalized)
   LatencyHistogram* h_sink_latency_ = nullptr;
-  // Elastic counters (elastic.* namespace).
-  obs::Counter* c_el_polls_ = nullptr;
-  obs::Counter* c_el_ups_ = nullptr;
-  obs::Counter* c_el_downs_ = nullptr;
-  obs::Counter* c_el_canceled_ = nullptr;
-  obs::Counter* c_el_moved_bytes_ = nullptr;
-  obs::Counter* c_el_stale_drops_ = nullptr;
 
   RunReport report_;
 };

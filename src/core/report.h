@@ -169,7 +169,6 @@ struct RunReport {
     uint64_t keyed_entries_moved = 0;  // keyed-state entries redistributed
     uint64_t state_bytes_moved = 0;    // their payload bytes
     uint64_t stale_drops = 0;  // deliveries fenced at retired instances
-    uint64_t cross_rack_placements = 0;  // spawns that opened a new rack
     Duration migration_stall_total = 0;  // rescale-epoch inject -> cutover
     Duration migration_stall_max = 0;
     // One row per executed rescale, in execution order.

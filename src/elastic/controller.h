@@ -1,6 +1,6 @@
 // Gauge-driven scaling decisions (DESIGN.md §14).
 //
-// One ScalingController per rescalable operator. The engine polls it at
+// One ScalingController per rescalable operator. core::Elastic polls it at
 // cfg.elastic.poll_interval with the operator's mean in-queue fill
 // fraction; the controller smooths the signal (EWMA), applies the
 // hysteresis band and sustain counters, enforces the cooldown, and —

@@ -40,15 +40,6 @@ class Placement {
     return best;
   }
 
-  // True when placing on `node` leaves the rack population of an operator
-  // unchanged (i.e. some peer already lives in the node's rack).
-  bool rack_local(int node, const std::vector<int>& peer_nodes) const {
-    for (int p : peer_nodes) {
-      if (cluster_->same_rack(node, p)) return true;
-    }
-    return false;
-  }
-
  private:
   bool better(int a, int b, const std::vector<int>& rack_peers,
               const std::vector<int>& node_load) const {

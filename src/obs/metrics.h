@@ -46,6 +46,17 @@ class Counter {
   uint64_t value_ = 0;
 };
 
+// A whole-run count kept twice: in its report field and, with metrics on,
+// in its counter, both bumped at the event.
+struct Tally {
+  uint64_t& n;
+  Counter* c = nullptr;
+  void add(uint64_t k = 1) {
+    n += k;
+    if (c) c->inc(k);
+  }
+};
+
 class MetricsRegistry {
  public:
   void configure(bool enabled, Duration snapshot_interval) {

@@ -1,7 +1,11 @@
 // Engine edge cases and failure-injection tests: zero/paused rates, queue
 // overflow accounting, huge tuples, tiny rings, rate profiles that go
-// silent, and pathological cluster shapes.
+// silent, pathological cluster shapes, and an emission on a stream the
+// operator lacks.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "apps/ride_hailing_app.h"
 #include "apps/stock_app.h"
@@ -49,6 +53,36 @@ EngineConfig cfg(SystemVariant v = SystemVariant::Whale()) {
   c.variant = v;
   c.seed = 5;
   return c;
+}
+
+// Emits every tuple on out stream 1, which a one-stream operator lacks.
+class WrongStreamBolt : public dsps::Bolt {
+ public:
+  Duration execute(const dsps::Tuple& t, dsps::Emitter& out) override {
+    out.emit(t, 1);
+    return us(1);
+  }
+};
+
+TEST(EngineEdge, EmissionOnAMissingStreamIsRefusedByName) {
+  dsps::TopologyBuilder b;
+  const int s = b.add_spout(
+      "s", [] { return std::make_unique<BigTupleSpout>(16); }, 1,
+      dsps::RateProfile::constant(100.0));
+  const int m = b.add_bolt(
+      "wrong", [] { return std::make_unique<WrongStreamBolt>(); }, 1);
+  const int k = b.add_bolt("k", [] { return std::make_unique<NopBolt>(); }, 1);
+  b.connect(s, m, dsps::Grouping::kShuffle);
+  b.connect(m, k, dsps::Grouping::kShuffle);
+  Engine e(cfg(), b.build());
+  try {
+    e.run(ms(10), ms(100));
+    ADD_FAILURE() << "the emission on stream 1 was dropped silently";
+  } catch (const std::logic_error& ex) {
+    const std::string what = ex.what();
+    EXPECT_NE(what.find("'wrong'"), std::string::npos) << what;
+    EXPECT_NE(what.find("out stream 1"), std::string::npos) << what;
+  }
 }
 
 TEST(EngineEdge, ZeroRateProducesNothing) {

@@ -287,7 +287,7 @@ CONSERVATION_FIELDS = (
 )
 SUMMARY_FIELDS = (
     "scale_ups", "scale_downs", "rescales_canceled", "instances_spawned",
-    "instances_retired", "cross_rack_placements", "keyed_entries_moved",
+    "instances_retired", "keyed_entries_moved",
     "state_bytes_moved", "migration_stall_total_ms", "migration_stall_max_ms",
     "polls", "final_parallelism", "epochs_completed", "epochs_aborted",
     "events", "wall_ms",
