@@ -30,10 +30,8 @@ VerbResult run_verb(rdma::Verb verb, uint64_t msg_bytes, double rate_tps,
   net::Fabric fabric(sim, spec);
   net::CostModel cost;
   sim::CpuServer cpu_a(sim, "a"), cpu_b(sim, "b");
-  rdma::QpConfig qc;
-  qc.verb = verb;
-  rdma::QueuePair qp(fabric, cost, qc, rdma::QpEndpoint{0, &cpu_a},
-                     rdma::QpEndpoint{1, &cpu_b});
+  rdma::QueuePair qp(fabric, cost, verb, rdma::QpConfig{},
+                     rdma::QpEndpoint{0, &cpu_a}, rdma::QpEndpoint{1, &cpu_b});
 
   uint64_t delivered = 0;
   double latency_sum_ns = 0;

@@ -84,8 +84,8 @@ struct EngineConfig {
   Duration ack_timeout = sec(30);
 
   // Fault injection: scripted node crashes / link degradations / relay
-  // stalls, executed by a FaultInjector armed at engine start. Empty plan
-  // = no faults.
+  // stalls. The engine refuses a malformed plan at construction and
+  // schedules the plan when run() starts. Empty plan = no faults.
   faults::FaultPlan faults;
 
   uint64_t seed = 42;

@@ -79,6 +79,52 @@ void loop_async(Body body_in) {
                          "' has no out stream " + std::to_string(out_idx));
 }
 
+// Refuses, naming the entry and the field, a fault plan the cluster cannot
+// run: a crash or stall off the workers, a link endpoint off the fabric
+// (the remote-state host is on it), a negative time or span, or a link
+// factor Fabric::degrade_link cannot apply.
+void check_plan(const faults::FaultPlan& plan, int workers,
+                int fabric_nodes) {
+  auto need = [](bool ok, const char* kind, size_t i, const char* field,
+                 const std::string& rule) {
+    if (ok) return;
+    throw std::invalid_argument("faults." + std::string(kind) + "[" +
+                                std::to_string(i) + "]." + field + " " +
+                                rule);
+  };
+  auto node = [&](int n, int limit, const char* kind, size_t i,
+                  const char* field) {
+    need(n >= 0 && n < limit, kind, i, field,
+         "must name a node in [0, " + std::to_string(limit) + ")");
+  };
+  auto span = [&](Duration d, const char* kind, size_t i, const char* field) {
+    need(d >= 0, kind, i, field, "must not be negative");
+  };
+  for (size_t i = 0; i < plan.crashes.size(); ++i) {
+    const faults::NodeCrash& c = plan.crashes[i];
+    node(c.node, workers, "crashes", i, "node");
+    span(c.at, "crashes", i, "at");
+    span(c.restart_after, "crashes", i, "restart_after");
+  }
+  for (size_t i = 0; i < plan.links.size(); ++i) {
+    const faults::LinkFault& l = plan.links[i];
+    node(l.src, fabric_nodes, "links", i, "src");
+    node(l.dst, fabric_nodes, "links", i, "dst");
+    span(l.at, "links", i, "at");
+    span(l.duration, "links", i, "duration");
+    need(l.bandwidth_factor >= 0.0, "links", i, "bandwidth_factor",
+         "must not be negative");
+    need(l.latency_factor > 0.0, "links", i, "latency_factor",
+         "must be positive");
+  }
+  for (size_t i = 0; i < plan.stalls.size(); ++i) {
+    const faults::RelayStall& s = plan.stalls[i];
+    node(s.node, workers, "stalls", i, "node");
+    span(s.at, "stalls", i, "at");
+    span(s.duration, "stalls", i, "duration");
+  }
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig cfg, dsps::Topology topo)
@@ -89,6 +135,7 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
   net::ClusterSpec cluster = cfg_.cluster;
   const bool remote = cfg_.state.enabled && cfg_.state.remote;
   if (remote) cluster.num_nodes += 1;
+  check_plan(cfg_.faults, cfg_.cluster.num_nodes, cluster.num_nodes);
   // At-least-once acking (core/acking.h). It makes the parallel kernel fall
   // back, so it runs on sim_.
   if (cfg_.enable_acking) {
@@ -1512,30 +1559,51 @@ void Engine::comm_track_delivery(uint64_t root_id) {
 // ---------------------------------------------------------------------------
 
 void Engine::arm_faults() {
-  if (cfg_.faults.empty()) return;
-  faults::FaultHooks h;
-  h.crash_node = [this](int n) { on_node_crash(n); };
-  h.restart_node = [this](int n) { on_node_restart(n); };
-  h.degrade_link = [this](const faults::LinkFault& lf) {
-    ++report_.link_faults;
-    fabric_->degrade_link(lf.src, lf.dst, lf.bandwidth_factor,
-                          lf.latency_factor);
+  // Kind by kind (crashes, link faults, stalls), each in plan order: at
+  // equal times the kernel's insertion order makes the kind order win.
+  // Each firing leaves a `fault` instant on the node's control lane.
+  auto fired = [this](const char* name, int pid) {
+    if (trace_on()) {
+      tracer_.instant(name, "fault", pid, obs::kLaneControl, sim_.now());
+    }
   };
-  h.restore_link = [this](const faults::LinkFault& lf) {
-    fabric_->restore_link(lf.src, lf.dst);
-  };
-  h.stall_relay = [this](int n) {
-    ++report_.relay_stalls;
-    transport_->set_stalled(n, true);
-  };
-  h.unstall_relay = [this](int n) {
-    transport_->set_stalled(n, false);
-    transport_->pump(n);
-  };
-  injector_ = std::make_unique<faults::FaultInjector>(sim_, cfg_.faults,
-                                                      std::move(h));
-  injector_->set_tracer(&tracer_);
-  injector_->arm();
+  for (const faults::NodeCrash& c : cfg_.faults.crashes) {
+    sim_.schedule_at(c.at, [this, fired, c] {
+      fired("fault.crash", c.node);
+      on_node_crash(c.node);
+      if (c.restart_after == 0) return;
+      sim_.schedule_after(c.restart_after, [this, fired, c] {
+        fired("fault.restart", c.node);
+        on_node_restart(c.node);
+      });
+    });
+  }
+  for (const faults::LinkFault& l : cfg_.faults.links) {
+    sim_.schedule_at(l.at, [this, fired, l] {
+      fired("fault.link_degrade", l.src);
+      ++report_.link_faults;
+      fabric_->degrade_link(l.src, l.dst, l.bandwidth_factor,
+                            l.latency_factor);
+      if (l.duration == 0) return;
+      sim_.schedule_after(l.duration, [this, fired, l] {
+        fired("fault.link_restore", l.src);
+        fabric_->restore_link(l.src, l.dst);
+      });
+    });
+  }
+  for (const faults::RelayStall& s : cfg_.faults.stalls) {
+    sim_.schedule_at(s.at, [this, fired, s] {
+      fired("fault.relay_stall", s.node);
+      ++report_.relay_stalls;
+      transport_->set_stalled(s.node, true);
+      if (s.duration == 0) return;
+      sim_.schedule_after(s.duration, [this, fired, s] {
+        fired("fault.relay_unstall", s.node);
+        transport_->set_stalled(s.node, false);
+        transport_->pump(s.node);
+      });
+    });
+  }
 }
 
 uint64_t Engine::drain_task(TaskRt& t) {

@@ -29,7 +29,6 @@
 #include "core/transport.h"
 #include "dsps/partitioning.h"
 #include "dsps/topology.h"
-#include "faults/injector.h"
 #include "net/fabric.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -338,7 +337,6 @@ class Engine final : private Checkpoints::Hooks,
 
   std::unordered_map<uint64_t, McastTrack> mcast_tracks_;
   std::unordered_map<uint64_t, CommTrack> comm_tracks_;
-  std::unique_ptr<faults::FaultInjector> injector_;
   uint64_t tuples_lost_ = 0;
   // Per-stream processed counts and destination-instance counts for
   // all-grouped streams (throughput normalization).

@@ -227,12 +227,11 @@ rdma::QueuePair& Transport::qp(
     rdma::Verb verb) {
   auto& slot = qps[idx(dst)];
   if (!slot) {
-    rdma::QpConfig qc = cfg_.qp;
-    qc.verb = verb;
     const Worker& w = workers_[idx(src)];
     const Worker& dw = workers_[idx(dst)];
     slot = std::make_unique<rdma::QueuePair>(
-        fabric_, cfg_.cost, qc, rdma::QpEndpoint{w.node, w.send_cpu.get()},
+        fabric_, cfg_.cost, verb, cfg_.qp,
+        rdma::QpEndpoint{w.node, w.send_cpu.get()},
         rdma::QpEndpoint{dw.node, dw.recv_cpu.get()});
     slot->set_recv_handler([this, dst, src](rdma::Packet p) {
       deliver(dst, std::move(p), src);

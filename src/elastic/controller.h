@@ -30,8 +30,14 @@ struct RescalePlan {
 
 class ScalingController {
  public:
+  // max_parallelism == 0 puts the ceiling one step above the build-time
+  // parallelism, not above the live one, so repeated grows stop there.
   ScalingController(ElasticConfig cfg, int op, int initial_parallelism)
-      : cfg_(cfg), op_(op), parallelism_(initial_parallelism) {}
+      : cfg_(cfg),
+        op_(op),
+        parallelism_(initial_parallelism),
+        ceiling_(cfg.max_parallelism > 0 ? cfg.max_parallelism
+                                         : initial_parallelism + cfg.step) {}
 
   // One poll: feed the current mean queue-fill fraction of the operator's
   // instances. Returns a plan when the decision rule fires.
@@ -56,10 +62,7 @@ class ScalingController {
       return std::nullopt;
     }
     if (above_ >= cfg_.sustain_up) {
-      const int ceiling = cfg_.max_parallelism > 0
-                              ? cfg_.max_parallelism
-                              : parallelism_ + cfg_.step;
-      const int target = std::min(parallelism_ + cfg_.step, ceiling);
+      const int target = std::min(parallelism_ + cfg_.step, ceiling_);
       if (target > parallelism_) return issue(target, now);
     }
     if (below_ >= cfg_.sustain_down) {
@@ -114,6 +117,7 @@ class ScalingController {
   ElasticConfig cfg_;
   int op_;
   int parallelism_;
+  int ceiling_;
   double ewma_ = 0.0;
   bool seen_sample_ = false;
   int above_ = 0;

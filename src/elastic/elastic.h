@@ -45,7 +45,7 @@ struct ElasticConfig {
 
   // Instances added/removed per rescale plan, and the parallelism bounds
   // the controller may move an operator between. max_parallelism == 0
-  // means "no configured ceiling" (the cluster size still bounds it).
+  // means one `step` of headroom above the build-time parallelism.
   int step = 1;
   int min_parallelism = 1;
   int max_parallelism = 0;

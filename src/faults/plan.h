@@ -2,10 +2,11 @@
 //
 // A FaultPlan is plain data — a list of timed fault events (node crashes
 // with optional restart, link degradation/partition, relay-worker stalls).
-// The FaultInjector turns a plan into sim::Simulation callbacks, so a run
-// with a given (config, plan) pair is exactly as deterministic as a run
-// without faults: two runs with the same plan produce identical event
-// sequences and byte-identical reports.
+// core::Engine checks the plan at construction and schedules it as
+// sim::Simulation callbacks when the run starts, so a run with a given
+// (config, plan) pair is exactly as deterministic as a run without faults:
+// two runs with the same plan produce identical event sequences and
+// byte-identical reports.
 #pragma once
 
 #include <cstdint>
@@ -54,9 +55,6 @@ struct FaultPlan {
 
   bool empty() const {
     return crashes.empty() && links.empty() && stalls.empty();
-  }
-  size_t size() const {
-    return crashes.size() + links.size() + stalls.size();
   }
 
   // --- builder ----------------------------------------------------------

@@ -126,20 +126,11 @@ void MulticastTree::recompute_layers() {
   });
 }
 
-int MulticastTree::find_open_slot(int dstar, int excluded) const {
+int MulticastTree::find_open_slot(int dstar) const {
   for (int v : order_) {
-    if (excluded >= 0 && in_subtree(v, excluded)) continue;
     if (out_degree(v) < dstar) return v;
   }
   return -1;
-}
-
-bool MulticastTree::in_subtree(int v, int root) const {
-  while (v != -1) {
-    if (v == root) return true;
-    v = parent_[static_cast<size_t>(v)];
-  }
-  return false;
 }
 
 std::vector<Move> MulticastTree::plan_scale_down(int new_dstar) {
@@ -165,7 +156,7 @@ std::vector<Move> MulticastTree::plan_scale_down(int new_dstar) {
   recompute_layers();
   // Pass 2: re-insert each marked subtree at the shallowest open position.
   for (const auto& [m, old_parent] : detached) {
-    const int slot = find_open_slot(new_dstar, /*excluded=*/-1);
+    const int slot = find_open_slot(new_dstar);
     assert(slot >= 0 && "scale-down found no open slot");
     attach(m, slot);
     recompute_layers();
@@ -231,7 +222,7 @@ std::vector<Move> MulticastTree::repair(int v, int dstar) {
   recompute_layers();  // drops v and the orphans from order_
   std::vector<Move> moves;
   for (int c : orphans) {
-    const int slot = find_open_slot(dstar, /*excluded=*/-1);
+    const int slot = find_open_slot(dstar);
     assert(slot >= 0 && "repair found no open slot");
     attach(c, slot);
     recompute_layers();
@@ -244,7 +235,7 @@ std::vector<Move> MulticastTree::restore(int v, int dstar) {
   if (!removed(v)) throw std::invalid_argument("restore: node not removed");
   if (dstar < 1) throw std::invalid_argument("dstar < 1");
   removed_[static_cast<size_t>(v)] = 0;
-  const int slot = find_open_slot(dstar, /*excluded=*/-1);
+  const int slot = find_open_slot(dstar);
   assert(slot >= 0 && "restore found no open slot");
   attach(v, slot);
   recompute_layers();

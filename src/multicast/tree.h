@@ -91,10 +91,8 @@ class MulticastTree {
   void detach(int v);
   void attach(int v, int new_parent);
   void recompute_layers();
-  // First node in BFS order with out_degree < dstar, excluding the subtree
-  // rooted at `excluded` (or -1 for none). Returns -1 if none.
-  int find_open_slot(int dstar, int excluded) const;
-  bool in_subtree(int v, int root) const;
+  // First node in BFS order with out_degree < dstar; -1 if none.
+  int find_open_slot(int dstar) const;
 
   std::vector<int> parent_;
   std::vector<std::vector<int>> children_;

@@ -99,9 +99,6 @@ class Fabric {
   void degrade_link(int src, int dst, double bandwidth_factor,
                     double latency_factor);
   void restore_link(int src, int dst);
-  bool link_degraded(int src, int dst) const {
-    return degraded_.count(link_key(src, dst)) > 0;
-  }
 
   uint64_t messages_dropped() const {
     uint64_t sum = 0;

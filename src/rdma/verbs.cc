@@ -13,21 +13,23 @@ constexpr uint64_t kReadRequestBytes = 16;
 }  // namespace
 
 QueuePair::QueuePair(net::Fabric& fabric, const net::CostModel& cost,
-                     QpConfig config, QpEndpoint local, QpEndpoint remote)
+                     Verb verb, QpConfig config, QpEndpoint local,
+                     QpEndpoint remote)
     : fabric_(fabric),
       cost_(cost),
+      verb_(verb),
       config_(config),
       local_(local),
       remote_(remote) {
   assert(local_.cpu != nullptr && remote_.cpu != nullptr);
-  if (config_.verb == Verb::kRead) {
+  if (verb_ == Verb::kRead) {
     ring_ = std::make_unique<RingMemoryRegion>(config_.ring_capacity);
   }
 }
 
 bool QueuePair::transmit(Bundle& bundle, std::function<void()> on_posted) {
   const uint64_t bytes = bundle_bytes(bundle);
-  if (config_.verb == Verb::kRead) {
+  if (verb_ == Verb::kRead) {
     // Producer side: append into the ring memory region. Zero-copy — the
     // serialized bytes already live in registered memory, so there is no
     // per-message verb cost for the producer. Ring-full is the blocking
@@ -55,10 +57,10 @@ bool QueuePair::transmit(Bundle& bundle, std::function<void()> on_posted) {
         const bool sent = fabric_.transmit(
             net::Transport::kRdma, local_.node, remote_.node, bytes,
             [this, wr_id, bytes, bundle = std::move(bundle)]() mutable {
-              send_cq_.push(Completion{config_.verb, wr_id,
+              send_cq_.push(Completion{verb_, wr_id,
                                        fabric_.simulation().now(), bytes});
               const Duration recv_cpu =
-                  config_.verb == Verb::kSendRecv
+                  verb_ == Verb::kSendRecv
                       ? cost_.rdma_twosided_recv_cpu
                       : cost_.rdma_write_completion_cpu;
               remote_.cpu->execute(
@@ -159,7 +161,7 @@ void QueuePair::reset() {
   pending_.clear();
   read_outstanding_ = false;
   wedged_ = false;
-  if (config_.verb == Verb::kRead) {
+  if (verb_ == Verb::kRead) {
     ring_ = std::make_unique<RingMemoryRegion>(config_.ring_capacity);
     // Producers blocked on ring-full can retry against the fresh ring.
     release_space();

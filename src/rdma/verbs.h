@@ -116,7 +116,6 @@ struct QpEndpoint {
 };
 
 struct QpConfig {
-  Verb verb = Verb::kSendRecv;
   // Ring memory region capacity (READ discipline only).
   uint64_t ring_capacity = 4 * 1024 * 1024;
   // Max bytes one READ fetches (the consumer batches sequential messages).
@@ -125,8 +124,8 @@ struct QpConfig {
 
 class QueuePair {
  public:
-  QueuePair(net::Fabric& fabric, const net::CostModel& cost, QpConfig config,
-            QpEndpoint local, QpEndpoint remote);
+  QueuePair(net::Fabric& fabric, const net::CostModel& cost, Verb verb,
+            QpConfig config, QpEndpoint local, QpEndpoint remote);
 
   QueuePair(const QueuePair&) = delete;
   QueuePair& operator=(const QueuePair&) = delete;
@@ -161,7 +160,7 @@ class QueuePair {
   // against the fresh ring. Models tearing the QP down and re-creating it.
   void reset();
 
-  Verb verb() const { return config_.verb; }
+  Verb verb() const { return verb_; }
   const QpEndpoint& local() const { return local_; }
   const QpEndpoint& remote() const { return remote_; }
   CompletionQueue& send_cq() { return send_cq_; }
@@ -200,6 +199,7 @@ class QueuePair {
 
   net::Fabric& fabric_;
   const net::CostModel& cost_;
+  Verb verb_;
   QpConfig config_;
   QpEndpoint local_;
   QpEndpoint remote_;

@@ -137,6 +137,11 @@ TEST(ScalingController, ZeroMaxParallelismMeansOneStepHeadroom) {
   const auto plan = sc.on_sample(0.5, ms(10));
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->to, 5);
+  // The headroom is measured from the build-time 4, not the live 5: a
+  // sustained backlog past the cooldown plans nothing more.
+  sc.confirm(5, ms(20));
+  sc.on_sample(0.9, ms(80));
+  EXPECT_FALSE(sc.on_sample(0.9, ms(85)).has_value());
 }
 
 // --- (b) Placement ---------------------------------------------------------

@@ -164,11 +164,12 @@ TEST(Fuzz, ChannelConservesAndOrdersMessages) {
     net::Fabric fabric(sim, spec);
     net::CostModel cost;
     sim::CpuServer a(sim, "a"), b(sim, "b");
-    rdma::QpConfig qc;
-    qc.verb = rng.bernoulli(0.5) ? rdma::Verb::kRead : rdma::Verb::kSendRecv;
+    const rdma::Verb verb =
+        rng.bernoulli(0.5) ? rdma::Verb::kRead : rdma::Verb::kSendRecv;
     const uint64_t mms = rng.next_below(8192);
+    rdma::QpConfig qc;
     qc.ring_capacity = 4096 + rng.next_below(1 << 16);
-    rdma::QueuePair qp(fabric, cost, qc, rdma::QpEndpoint{0, &a},
+    rdma::QueuePair qp(fabric, cost, verb, qc, rdma::QpEndpoint{0, &a},
                        rdma::QpEndpoint{1, &b});
     core::SlicingBuffer sl(sim, mms, ms(1), qp);
     std::vector<uint64_t> got;
@@ -180,7 +181,7 @@ TEST(Fuzz, ChannelConservesAndOrdersMessages) {
           std::make_shared<const std::vector<uint8_t>>(sz, 1), sim.now(), i});
     }
     sim.run();
-    ASSERT_EQ(got.size(), count) << "verb=" << to_string(qc.verb)
+    ASSERT_EQ(got.size(), count) << "verb=" << to_string(verb)
                                  << " mms=" << mms;
     for (uint64_t i = 0; i < count; ++i) ASSERT_EQ(got[i], i);
   }

@@ -72,9 +72,8 @@ class QpTest : public ::testing::Test {
 
   std::unique_ptr<QueuePair> make_qp(Verb verb, uint64_t ring = 1 << 20) {
     QpConfig qc;
-    qc.verb = verb;
     qc.ring_capacity = ring;
-    return std::make_unique<QueuePair>(*fabric_, cost_, qc,
+    return std::make_unique<QueuePair>(*fabric_, cost_, verb, qc,
                                        QpEndpoint{0, cpu_a_.get()},
                                        QpEndpoint{1, cpu_b_.get()});
   }
@@ -131,9 +130,8 @@ TEST_F(QpTest, ReadProducerPaysNothing) {
 
 TEST_F(QpTest, ReadBatchesSequentialMessages) {
   QpConfig qc;
-  qc.verb = Verb::kRead;
   qc.read_batch_max = 10000;
-  auto qp = std::make_unique<QueuePair>(*fabric_, cost_, qc,
+  auto qp = std::make_unique<QueuePair>(*fabric_, cost_, Verb::kRead, qc,
                                         QpEndpoint{0, cpu_a_.get()},
                                         QpEndpoint{1, cpu_b_.get()});
   int delivered = 0;

@@ -26,9 +26,8 @@ struct Harness {
           return spec;
         }()) {
     rdma::QpConfig qc;
-    qc.verb = verb;
     qc.ring_capacity = ring;
-    qp = std::make_unique<rdma::QueuePair>(fabric, cost, qc,
+    qp = std::make_unique<rdma::QueuePair>(fabric, cost, verb, qc,
                                            rdma::QpEndpoint{0, &a},
                                            rdma::QpEndpoint{1, &b});
     qp->set_recv_handler(

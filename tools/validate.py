@@ -79,10 +79,14 @@ parallel (bench_fig21_22_multicast_latency sweeps):
 obs directory (tools/obs_probe):
   trace.json    parses as Chrome trace_event JSON; the tuple lifecycle is
                 present (spout.emit, serialize, rdma_transfer, relay.forward,
-                dispatch, sink spans); at least one fault/repair episode
-                (fault.crash instant + mcast.repair complete span) and one
-                d* switch (mcast.switch complete span) are recorded, each
-                kind of tree change with a positive duration; at least one
+                dispatch, sink spans); the fault plan's firings are
+                instants in category 'fault', and fault.crash,
+                fault.restart, fault.link_degrade, fault.relay_stall and
+                fault.relay_unstall each fire at least once (the probe's
+                link restores fall after its run ends); at least one
+                repair episode (mcast.repair complete span) and one d*
+                switch (mcast.switch complete span) are recorded, each kind
+                of tree change with a positive duration; at least one
                 repair and one restore instant, each with a numeric
                 'moves' arg; complete events carry numeric ts/dur >= 0.
   metrics.json  parses against the schema in DESIGN.md §9; snapshot times
@@ -608,6 +612,10 @@ def check_parallel(doc: dict, entry=None) -> str:
 
 # --- obs directory ------------------------------------------------------------
 
+FAULT_INSTANTS = ("fault.crash", "fault.restart", "fault.link_degrade",
+                  "fault.relay_stall", "fault.relay_unstall")
+
+
 def check_trace(path: pathlib.Path) -> None:
     doc = load_json(path)
     events = doc["traceEvents"]
@@ -633,9 +641,17 @@ def check_trace(path: pathlib.Path) -> None:
             fail(f"trace missing lifecycle span '{name}'")
     if "sink" not in by_name and "bolt.execute" not in by_name:
         fail("trace missing sink/bolt execution spans")
-    # At least one recovery episode (the crash instant plus the named
-    # repair span that re-parents the orphaned subtree) and one d* switch.
-    for name in ("fault.crash", "mcast.repair", "mcast.switch"):
+    # Every kind of plan firing the probe's seeded plan reaches, each an
+    # instant in category 'fault'.
+    for name in FAULT_INSTANTS:
+        if name not in by_name:
+            fail(f"trace missing fault instant '{name}'")
+        for ev in by_name[name]:
+            if ev["ph"] != "i" or ev["cat"] != "fault":
+                fail(f"'{name}' is not an instant in category 'fault': {ev}")
+    # At least one recovery episode (the named repair span that re-parents
+    # the orphaned subtree) and one d* switch.
+    for name in ("mcast.repair", "mcast.switch"):
         if name not in by_name:
             fail(f"trace missing tree-change span '{name}'")
     # A leaf crash repairs in zero time (nothing to re-parent); at least one
@@ -661,6 +677,7 @@ def check_trace(path: pathlib.Path) -> None:
             fail(f"trace missing acking instant '{name}'")
     print(f"  trace.json    ok: {len(events)} events, "
           f"{len(by_name)} span names, "
+          f"{sum(len(by_name[n]) for n in FAULT_INSTANTS)} fault instant(s), "
           f"{len(by_name['mcast.repair'])} repair episode(s), "
           f"{len(by_name['mcast.switch'])} switch(es), "
           f"{len(by_name['repair'])} repair / "
