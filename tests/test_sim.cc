@@ -2,6 +2,14 @@
 // category accounting, throughput resources, and bounded queues.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <stdexcept>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "sim/cpu.h"
 #include "sim/queue.h"
 #include "sim/resource.h"
@@ -63,6 +71,117 @@ TEST(Simulation, MaxEventsGuard) {
   s.schedule_at(0, forever);
   s.run(/*max_events=*/100);
   EXPECT_EQ(s.events_processed(), 100u);
+}
+
+// The order contract written the plain way: one priority queue over
+// (time, seq), with the kernel's clock rules for run_until / run_before.
+class ReferenceSim {
+ public:
+  Time now() const { return now_; }
+  void schedule_at(Time t, std::function<void()> fn) {
+    queue_.push(Event{t, seq_++, std::move(fn)});
+  }
+  void run_until(Time t) {
+    while (!queue_.empty() && queue_.top().time <= t) pop_and_run();
+    if (now_ < t) now_ = t;
+  }
+  void run_before(Time t) {
+    while (!queue_.empty() && queue_.top().time < t) pop_and_run();
+    if (now_ < t) now_ = t;
+  }
+
+ private:
+  struct Event {
+    Time time;
+    uint64_t seq;
+    std::function<void()> fn;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return std::tie(a.time, a.seq) > std::tie(b.time, b.seq);
+    }
+  };
+  void pop_and_run() {
+    Event ev = queue_.top();
+    queue_.pop();
+    now_ = ev.time;
+    ev.fn();
+  }
+
+  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  Time now_ = 0;
+  uint64_t seq_ = 0;
+};
+
+// One seeded script: each round schedules 1-30 events from outside at
+// now + {0, 10, 20, 30}, then runs up to a horizon that grows by 0-24,
+// alternating run_until and run_before. Every event logs (now, id) and
+// schedules 0-3 children at delays from {0, 0, 1, 5, 10, 10}, down to
+// depth 4, so the scripts make equal-time bursts, zero-delay children of
+// a time's last event, and outside schedules at a clock parked on a
+// horizon.
+template <typename Sim>
+std::vector<std::pair<Time, int>> run_script(uint64_t seed) {
+  static constexpr Duration kChildDelay[] = {0, 0, 1, 5, 10, 10};
+  static constexpr int kRounds = 40;
+  Sim s;
+  Rng rng(seed);
+  std::vector<std::pair<Time, int>> log;
+  int next_id = 0;
+  std::function<void(Time, int)> add = [&](Time at, int depth) {
+    const int id = next_id++;
+    s.schedule_at(at, [&, id, depth] {
+      log.emplace_back(s.now(), id);
+      if (depth == 4) return;
+      for (uint64_t n = rng.next_below(4); n > 0; --n) {
+        add(s.now() + kChildDelay[rng.next_below(6)], depth + 1);
+      }
+    });
+  };
+  Time horizon = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (uint64_t n = 1 + rng.next_below(30); n > 0; --n) {
+      add(s.now() + 10 * static_cast<Time>(rng.next_below(4)), 0);
+    }
+    horizon += static_cast<Time>(rng.next_below(25));
+    if (round % 2 == 0) {
+      s.run_until(horizon);
+    } else {
+      s.run_before(horizon);
+    }
+  }
+  s.run_until(horizon + 1000);  // past every event still pending
+  return log;
+}
+
+TEST(Simulation, MatchesReferenceOrder) {
+  size_t entries = 0;
+  for (uint64_t seed = 1; seed <= 300; ++seed) {
+    const auto got = run_script<Simulation>(seed);
+    const auto want = run_script<ReferenceSim>(seed);
+    ASSERT_EQ(got, want) << "seed " << seed;
+    entries += got.size();
+  }
+  EXPECT_GT(entries, 1'000'000u);
+}
+
+TEST(Simulation, ThrowingCallbackKeepsOrder) {
+  // The throwing event is popped before it runs: the rest of its time
+  // fires in order, and a later zero-delay event queues behind them.
+  Simulation s;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    s.schedule_at(7, [&, i] {
+      order.push_back(i);
+      if (i == 2) throw std::runtime_error("callback failed");
+    });
+  }
+  EXPECT_THROW(s.run(), std::runtime_error);
+  EXPECT_EQ(s.now(), 7);
+  s.schedule_after(0, [&] { order.push_back(100); });
+  s.schedule_at(9, [&] { order.push_back(9); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 100, 9}));
 }
 
 // --- CpuServer ---------------------------------------------------------------
