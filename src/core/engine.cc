@@ -81,8 +81,9 @@ void loop_async(Body body_in) {
 
 // Refuses, naming the entry and the field, a fault plan the cluster cannot
 // run: a crash or stall off the workers, a link endpoint off the fabric
-// (the remote-state host is on it), a negative time or span, or a link
-// factor Fabric::degrade_link cannot apply.
+// (the remote-state host is on it), a self-link (a node's traffic to
+// itself is loopback and never reads link state), a negative time or span,
+// or a link factor Fabric::degrade_link cannot apply.
 void check_plan(const faults::FaultPlan& plan, int workers,
                 int fabric_nodes) {
   auto need = [](bool ok, const char* kind, size_t i, const char* field,
@@ -110,6 +111,7 @@ void check_plan(const faults::FaultPlan& plan, int workers,
     const faults::LinkFault& l = plan.links[i];
     node(l.src, fabric_nodes, "links", i, "src");
     node(l.dst, fabric_nodes, "links", i, "dst");
+    need(l.dst != l.src, "links", i, "dst", "must differ from src");
     span(l.at, "links", i, "at");
     span(l.duration, "links", i, "duration");
     need(l.bandwidth_factor >= 0.0, "links", i, "bandwidth_factor",
@@ -1582,12 +1584,12 @@ void Engine::arm_faults() {
     sim_.schedule_at(l.at, [this, fired, l] {
       fired("fault.link_degrade", l.src);
       ++report_.link_faults;
-      fabric_->degrade_link(l.src, l.dst, l.bandwidth_factor,
-                            l.latency_factor);
+      const uint64_t fault = fabric_->degrade_link(
+          l.src, l.dst, l.bandwidth_factor, l.latency_factor);
       if (l.duration == 0) return;
-      sim_.schedule_after(l.duration, [this, fired, l] {
+      sim_.schedule_after(l.duration, [this, fired, l, fault] {
         fired("fault.link_restore", l.src);
-        fabric_->restore_link(l.src, l.dst);
+        fabric_->restore_link(l.src, l.dst, fault);
       });
     });
   }

@@ -39,10 +39,13 @@ Duration Fabric::propagation(Transport t, int src, int dst) const {
   return intra ? spec_.ib_prop_intra_rack : spec_.ib_prop_inter_rack;
 }
 
-void Fabric::degrade_link(int src, int dst, double bandwidth_factor,
-                          double latency_factor) {
+uint64_t Fabric::degrade_link(int src, int dst, double bandwidth_factor,
+                              double latency_factor) {
   assert(bandwidth_factor >= 0.0 && latency_factor > 0.0);
-  degraded_[link_key(src, dst)] = LinkState{bandwidth_factor, latency_factor};
+  const uint64_t fault = next_fault_++;
+  degraded_[link_key(src, dst)].push_back(
+      LinkState{bandwidth_factor, latency_factor, fault});
+  return fault;
 }
 
 Duration Fabric::min_cross_propagation(
@@ -58,9 +61,10 @@ Duration Fabric::min_cross_propagation(
       Duration p = propagation(t, src, dst);
       auto it = degraded_.find(link_key(src, dst));
       if (it != degraded_.end()) {
-        if (it->second.bandwidth_factor <= 0.0) continue;  // partitioned
+        const LinkState& link = it->second.back();
+        if (link.bandwidth_factor <= 0.0) continue;  // partitioned
         p = static_cast<Duration>(static_cast<double>(p) *
-                                  it->second.latency_factor);
+                                  link.latency_factor);
       }
       best = std::min(best, std::max<Duration>(1, p));
     }
@@ -68,8 +72,12 @@ Duration Fabric::min_cross_propagation(
   return best;
 }
 
-void Fabric::restore_link(int src, int dst) {
-  degraded_.erase(link_key(src, dst));
+void Fabric::restore_link(int src, int dst, uint64_t fault) {
+  auto it = degraded_.find(link_key(src, dst));
+  if (it == degraded_.end()) return;
+  std::erase_if(it->second,
+                [fault](const LinkState& l) { return l.fault == fault; });
+  if (it->second.empty()) degraded_.erase(it);
 }
 
 bool Fabric::transmit(Transport t, int src, int dst, uint64_t payload_bytes,
@@ -113,7 +121,7 @@ bool Fabric::transmit(Transport t, int src, int dst, uint64_t payload_bytes,
   const LinkState* link = nullptr;
   auto lit = degraded_.find(link_key(src, dst));
   if (lit != degraded_.end()) {
-    link = &lit->second;
+    link = &lit->second.back();
     if (link->bandwidth_factor <= 0.0) {
       ++messages_dropped_[static_cast<size_t>(src)];  // partitioned link
       bytes_dropped_[static_cast<size_t>(src)] += payload_bytes;

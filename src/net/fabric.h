@@ -95,10 +95,12 @@ class Fabric {
   }
   // Degrades the directed link src -> dst: achievable bandwidth is scaled
   // by bandwidth_factor (0 = partition: messages dropped) and propagation
-  // by latency_factor. restore_link removes the degradation.
-  void degrade_link(int src, int dst, double bandwidth_factor,
-                    double latency_factor);
-  void restore_link(int src, int dst);
+  // by latency_factor. Faults on one link stack: the one started last
+  // applies. Returns the fault's id; restore_link lifts only that fault,
+  // and the link is healthy again once none is left.
+  uint64_t degrade_link(int src, int dst, double bandwidth_factor,
+                        double latency_factor);
+  void restore_link(int src, int dst, uint64_t fault);
 
   uint64_t messages_dropped() const {
     uint64_t sum = 0;
@@ -146,6 +148,7 @@ class Fabric {
   struct LinkState {
     double bandwidth_factor = 1.0;
     double latency_factor = 1.0;
+    uint64_t fault = 0;  // the degrade_link id that set it
   };
   static uint64_t link_key(int src, int dst) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(src)) << 32) |
@@ -165,7 +168,9 @@ class Fabric {
   std::vector<uint64_t> messages_sent_[2];
 
   std::vector<uint8_t> node_up_;
-  std::unordered_map<uint64_t, LinkState> degraded_;
+  // A degraded link's active faults, oldest first; back() applies.
+  std::unordered_map<uint64_t, std::vector<LinkState>> degraded_;
+  uint64_t next_fault_ = 0;
   std::vector<uint64_t> messages_dropped_;
   std::vector<uint64_t> bytes_dropped_;
 

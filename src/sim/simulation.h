@@ -6,13 +6,15 @@
 // Everything else in the project (CPU servers, NICs, queues, the DSPS
 // engine) is built as callbacks over this kernel.
 //
-// Layout: a binary heap holds small POD {time, seq, slot} keys; the
-// callbacks live in a slab indexed by slot, recycled through a freelist.
-// Sifting the heap therefore moves small PODs instead of callable objects,
-// and steady-state scheduling performs zero allocations (the slab and heap
-// grow to the high-water mark of concurrently pending events and stay
-// there). Callbacks are InlineFunction, so captures up to 48 bytes are
-// stored in the slab slot itself.
+// Layout: a binary heap holds small POD {time, first seq, head slot} keys,
+// one per bucket of equal-time events; the callbacks live in a slab indexed
+// by slot, linked into their bucket's FIFO or the freelist. Only the newest
+// bucket takes appends, so an older bucket's events all precede a newer
+// one's at the same time and buckets ordered by (time, first seq) fire in
+// exact (time, seq) order, at one heap push and pop per burst. Sifting
+// moves small PODs instead of callables, and steady-state scheduling
+// performs zero allocations (slab and heap stay at their high-water mark).
+// Callbacks are InlineFunction: captures up to 48 bytes live in the slot.
 #pragma once
 
 #include <algorithm>
@@ -33,7 +35,6 @@ class Simulation {
   Time now() const { return now_; }
   uint64_t events_processed() const { return processed_; }
   bool empty() const { return heap_.empty(); }
-  size_t pending() const { return heap_.size(); }
 
   // Templated so the callable is constructed directly in its slab slot —
   // no intermediate InlineFunction hop per event on the hot path.
@@ -43,8 +44,9 @@ class Simulation {
     uint32_t slot;
     if (free_head_ != kNilSlot) {
       slot = free_head_;
-      free_head_ = slab_[slot].next_free;
+      free_head_ = slab_[slot].next;
       slab_[slot].fn.emplace(std::forward<Fn>(fn));
+      slab_[slot].next = kNilSlot;
     } else {
       slot = static_cast<uint32_t>(slab_.size());
       slab_.push_back(Record{Callback(std::forward<Fn>(fn)), kNilSlot});
@@ -58,8 +60,15 @@ class Simulation {
     if (seq_ >= (uint64_t{1} << 40) || slot >= (uint32_t{1} << 24)) {
       std::abort();
     }
-    heap_.push_back(HeapEntry{t, (seq_++ << 24) | slot});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    if (t == newest_time_) {
+      slab_[newest_tail_].next = slot;  // joins the newest bucket's FIFO
+    } else {
+      heap_.push_back(HeapEntry{t, (seq_ << 24) | slot});
+      std::push_heap(heap_.begin(), heap_.end(), Later{});
+      newest_time_ = t;
+    }
+    newest_tail_ = slot;
+    ++seq_;
   }
 
   template <typename Fn>
@@ -111,26 +120,34 @@ class Simulation {
 
  private:
   static constexpr uint32_t kNilSlot = UINT32_MAX;
+  static constexpr Time kNoBucket = INT64_MIN;  // below any schedulable t
 
-  // Pops and runs the top event. Precondition: !heap_.empty(). The pop is
-  // complete (heap, clock, slab slot all consistent) before the callback
-  // is invoked, so an exception from the callback unwinds cleanly.
+  // Pops and runs the front bucket's head event. Precondition:
+  // !heap_.empty(). The pop is complete (heap, clock, slab slot all
+  // consistent) before the callback is invoked, so an exception from the
+  // callback unwinds cleanly.
   void pop_and_run() {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    const HeapEntry ev = heap_.back();
-    heap_.pop_back();
-    now_ = ev.time;
+    HeapEntry& front = heap_.front();
+    now_ = front.time;
 #ifndef NDEBUG
     assert(now_ <= window_limit_ &&
            "partition clock exceeded its granted window");
 #endif
     ++processed_;
+    const uint32_t slot = static_cast<uint32_t>(front.key & 0xFFFFFFu);
+    const uint32_t next = slab_[slot].next;
+    if (next != kNilSlot) {
+      front.key = (front.key >> 24 << 24) | next;  // same first seq: no sift
+    } else {
+      if (slot == newest_tail_) newest_time_ = kNoBucket;  // drained
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    }
     // Move the callback out and recycle the slot BEFORE invoking: the
     // callback may schedule further events, growing (and reallocating)
     // the slab under our feet.
-    const uint32_t slot = static_cast<uint32_t>(ev.key & 0xFFFFFFu);
     Callback fn = std::move(slab_[slot].fn);
-    slab_[slot].next_free = free_head_;
+    slab_[slot].next = free_head_;
     free_head_ = slot;
     if (fn) fn();
   }
@@ -138,17 +155,17 @@ class Simulation {
   // 16 bytes: two entries per sift move, four per cache line.
   struct HeapEntry {
     Time time;
-    uint64_t key;  // (seq << 24) | slot
+    uint64_t key;  // (first seq << 24) | head slot
   };
 
   struct Record {
     Callback fn;
-    uint32_t next_free;
+    uint32_t next;  // the bucket's next event while pending, else freelist
   };
 
   // Min-heap comparator: "a fires later than b" puts the earliest
-  // (time, seq) at heap_.front(). (time, seq) keys are unique, so this is
-  // a strict total order and the pop sequence is fully deterministic.
+  // (time, first seq) bucket at heap_.front(). The keys are unique, so this
+  // is a strict total order and the pop sequence is fully deterministic.
   struct Later {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -159,6 +176,9 @@ class Simulation {
   std::vector<HeapEntry> heap_;
   std::vector<Record> slab_;
   uint32_t free_head_ = kNilSlot;
+  // The last-pushed bucket's time (kNoBucket once drained) and tail slot.
+  Time newest_time_ = kNoBucket;
+  uint32_t newest_tail_ = kNilSlot;
   Time now_ = 0;
   uint64_t seq_ = 0;
   uint64_t processed_ = 0;

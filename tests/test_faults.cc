@@ -317,6 +317,25 @@ TEST(Faults, DegradedLinkSlowsButDelivers) {
   EXPECT_GT(r.mcast_roots, 0u);
 }
 
+TEST(Faults, OverlappingLinkFaultsEndSeparately) {
+  // Faults on one link stack: the one started last applies, and a fault's
+  // end lifts only itself. A 100-150 ms partition of 0 -> 1 laid over a
+  // permanent one from 120 ms drops more than the permanent one alone,
+  // because the permanent partition outlives the short one's end.
+  auto drops = [](bool overlap) {
+    EngineConfig c = base_cfg(4);
+    c.variant = SystemVariant::Storm();
+    c.faults.partition(/*src=*/0, /*dst=*/1, ms(120), /*duration=*/0);
+    if (overlap) c.faults.partition(0, 1, ms(100), ms(50));
+    Engine e(c, broadcast_topo(500.0, 8));
+    const auto& r = e.run(ms(50), ms(400));
+    EXPECT_EQ(r.link_faults, overlap ? 2u : 1u);
+    return r.fabric_messages_dropped;
+  };
+  EXPECT_EQ(drops(false), 296u);
+  EXPECT_EQ(drops(true), 312u);
+}
+
 // --- (e) plan scheduling and refusals -----------------------------------
 
 TEST(Faults, PlanFiresInKindOrder) {
@@ -389,6 +408,8 @@ TEST(Faults, MalformedPlansAreRefusedByName) {
        [](EngineConfig& c) { c.faults.partition(1, 40, ms(10), ms(5)); }},
       {"faults.links[0].src",
        [](EngineConfig& c) { c.faults.partition(-1, 1, ms(10), ms(5)); }},
+      {"faults.links[0].dst",
+       [](EngineConfig& c) { c.faults.partition(2, 2, ms(10), ms(5)); }},
       {"faults.crashes[0].at",
        [](EngineConfig& c) { c.faults.crash(1, -ms(10)); }},
       {"faults.crashes[0].restart_after",

@@ -124,5 +124,25 @@ TEST_F(FabricTest, NicEgressSerializes) {
   EXPECT_EQ(arrivals[1] - arrivals[0], us(10));
 }
 
+TEST_F(FabricTest, LinkFaultsStackAndLiftSeparately) {
+  // The fault started last applies; lifting it brings back the one below,
+  // and lifting a fault below leaves the one on top in force.
+  auto sends = [&] {
+    return fabric_->transmit(Transport::kTcp, 0, 1, 100, [] {});
+  };
+  const uint64_t cut = fabric_->degrade_link(0, 1, 0.0, 1.0);
+  const uint64_t slow = fabric_->degrade_link(0, 1, 0.5, 2.0);
+  EXPECT_TRUE(sends());
+  fabric_->restore_link(0, 1, slow);
+  EXPECT_FALSE(sends());
+  const uint64_t cut2 = fabric_->degrade_link(0, 1, 0.0, 1.0);
+  fabric_->restore_link(0, 1, cut);
+  EXPECT_FALSE(sends());
+  fabric_->restore_link(0, 1, cut2);
+  EXPECT_TRUE(sends());
+  EXPECT_EQ(fabric_->messages_dropped(), 2u);
+  sim_.run();
+}
+
 }  // namespace
 }  // namespace whale::net

@@ -5,10 +5,19 @@ Usage: tools/validate.py [PATH...]
 
 Each PATH is a bench JSON artifact, checked by the rules for its `bench`
 tag, or a directory holding obs_probe's trace.json and metrics.json. With
-no PATH, every committed artifact is checked: results/BENCH_checkpoint.json,
-results/BENCH_elastic.json, results/BENCH_skew.json and every sweep artifact
-listed in bench/parallel_manifest.json. A missing artifact is a failure,
-never a skip. Stdlib only; exits non-zero on the first failed check.
+no PATH, every committed artifact is checked: BENCH_simkernel.json,
+results/BENCH_checkpoint.json, results/BENCH_elastic.json,
+results/BENCH_skew.json and every sweep artifact listed in
+bench/parallel_manifest.json. A missing artifact is a failure, never a
+skip. Stdlib only; exits non-zero on the first failed check.
+
+simkernel (bench_simkernel, recorded by scripts/run_bench.sh):
+  - both phases (mixed, engine) carry every field as a number and
+    simulated at least one event
+  - the mixed phase is allocation-free (allocs_per_event == 0): the
+    kernel schedules from its slab and heap alone
+  - speedup_mixed is the mixed events_per_sec over
+    baseline_mixed_events_per_sec, to two decimals
 
 checkpoint_recovery (bench_checkpoint_recovery):
   - top-level schema: bench tag, config, interval_sweep, overhead,
@@ -101,8 +110,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "bench" / "parallel_manifest.json"
-COMMITTED = ("results/BENCH_checkpoint.json", "results/BENCH_elastic.json",
-             "results/BENCH_skew.json")
+COMMITTED = ("BENCH_simkernel.json", "results/BENCH_checkpoint.json",
+             "results/BENCH_elastic.json", "results/BENCH_skew.json")
 
 
 def fail(msg: str) -> None:
@@ -131,6 +140,40 @@ def require_keys(doc: dict, keys) -> None:
     for key in keys:
         if key not in doc:
             fail(f"missing top-level '{key}'")
+
+
+# --- simkernel ------------------------------------------------------------------
+
+SIMKERNEL_PHASE_FIELDS = ("events", "wall_ms", "events_per_sec",
+                          "ns_per_event", "allocs_per_event",
+                          "alloc_bytes_per_event")
+
+
+def check_simkernel(doc: dict) -> str:
+    require_keys(doc, ("phases",))
+    phases = doc["phases"]
+    for name in ("mixed", "engine"):
+        if not isinstance(phases, dict) or name not in phases:
+            fail(f"phases missing '{name}'")
+        require_numbers(phases[name], SIMKERNEL_PHASE_FIELDS,
+                        f"phases.{name}")
+        if phases[name]["events"] <= 0:
+            fail(f"phases.{name} simulated no events")
+    mixed = phases["mixed"]
+    if mixed["allocs_per_event"] != 0:
+        fail(f"phases.mixed allocs_per_event {mixed['allocs_per_event']} "
+             "!= 0: the kernel allocated on its hot path")
+    require_numbers(doc, ("baseline_mixed_events_per_sec", "speedup_mixed"),
+                    "simkernel")
+    baseline = doc["baseline_mixed_events_per_sec"]
+    if baseline <= 0:
+        fail(f"baseline_mixed_events_per_sec {baseline} is not positive")
+    ratio = f"{mixed['events_per_sec'] / baseline:.2f}"
+    if f"{doc['speedup_mixed']:.2f}" != ratio:
+        fail(f"speedup_mixed {doc['speedup_mixed']} != mixed "
+             f"events_per_sec / baseline = {ratio}")
+    return (f"mixed {mixed['ns_per_event']} ns/event, 0 allocs, "
+            f"{doc['speedup_mixed']}x the baseline")
 
 
 # --- checkpoint_recovery ------------------------------------------------------
@@ -733,6 +776,7 @@ def check_obs_dir(obs_dir: pathlib.Path) -> str:
 # --- dispatch -----------------------------------------------------------------
 
 CHECKS = {
+    "simkernel": check_simkernel,
     "checkpoint_recovery": check_checkpoint,
     "elastic": check_elastic,
     "skew": check_skew,
